@@ -11,6 +11,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use beagle_core::buffers::simd_state_stride;
 use beagle_core::real::Real;
 use beagle_cpu::simd::{DispatchKind, DispatchReal};
 use beagle_cpu::{host_fma_available, kernels};
@@ -83,7 +84,7 @@ fn bench_precision<T: DispatchReal>(
 ) {
     let n_pat = if quick_mode() { 1024 } else { 4096 };
     for &s in &[4usize, 20, 61] {
-        let sp = s.div_ceil(T::SIMD_LANES) * T::SIMD_LANES;
+        let sp = simd_state_stride::<T>(s);
         let m1 = fill::<T>(1, s * sp);
         let m2 = fill::<T>(2, s * sp);
         let c1 = fill::<T>(3, n_pat * sp);

@@ -15,11 +15,15 @@
 //! `state_stride >= state_count` is the padded per-pattern state vector
 //! length. [`InstanceBuffers::new`] keeps `state_stride == state_count`
 //! (the historical dense layout, used by the accelerator back-ends);
-//! [`InstanceBuffers::new_padded`] rounds it up to a SIMD-lane multiple so
-//! vector inner loops are remainder-free. Padding lanes hold exact zeros
-//! (in partials *and* in every matrix row), so dot products over the full
-//! stride equal dot products over the true state count. The padding is
-//! invisible at the API boundary: setters pack, getters strip.
+//! [`InstanceBuffers::new_padded`] uses [`simd_state_stride`]: nucleotide
+//! vectors stay dense at stride 4 in both precisions, and every other state
+//! count rounds up to a SIMD-lane multiple so vector inner loops are
+//! remainder-free. Padding lanes hold exact zeros (in partials *and* in
+//! every matrix row), so dot products over the full stride equal dot
+//! products over the true state count. Kernels never write pad lanes, so
+//! the zeros laid down at allocation (or by a setter) last for the life of
+//! the buffer. The padding is invisible at the API boundary: setters pack,
+//! getters strip.
 
 use crate::api::InstanceConfig;
 use crate::error::{BeagleError, Result};
@@ -37,6 +41,19 @@ pub struct EigenSystem {
     pub inverse_vectors: Vec<f64>,
     /// Eigenvalues (s).
     pub values: Vec<f64>,
+}
+
+/// Per-pattern state stride of the SIMD CPU layout for `state_count` states
+/// in precision `T`. Four states are dense at stride 4 in both precisions
+/// (one 128-bit `f32` or 256-bit `f64` vector per pattern); every other
+/// state count pads to a multiple of [`Real::SIMD_LANES`] so the wide
+/// vector loops run remainder-free.
+pub fn simd_state_stride<T: Real>(state_count: usize) -> usize {
+    if state_count == 4 {
+        4
+    } else {
+        state_count.div_ceil(T::SIMD_LANES) * T::SIMD_LANES
+    }
 }
 
 /// All numbered buffers of one instance.
@@ -77,11 +94,10 @@ impl<T: Real> InstanceBuffers<T> {
         Self::with_stride(config, config.state_count)
     }
 
-    /// Allocate storage with each pattern's state vector padded to a
-    /// multiple of `lanes` (zero-filled padding).
-    pub fn new_padded(config: InstanceConfig, lanes: usize) -> Result<Self> {
-        let lanes = lanes.max(1);
-        Self::with_stride(config, config.state_count.div_ceil(lanes) * lanes)
+    /// Allocate storage with the SIMD layout: each pattern's state vector
+    /// is [`simd_state_stride`] long (zero-filled padding).
+    pub fn new_padded(config: InstanceConfig) -> Result<Self> {
+        Self::with_stride(config, simd_state_stride::<T>(config.state_count))
     }
 
     fn with_stride(config: InstanceConfig, state_stride: usize) -> Result<Self> {
@@ -575,15 +591,28 @@ impl<T: Real> InstanceBuffers<T> {
     /// partials kernel needs. The destination is taken out of the arena
     /// (std::mem::take) so the children can be borrowed simultaneously;
     /// callers must put it back with [`Self::restore_destination`].
+    ///
+    /// A reused buffer keeps its old contents: every partials kernel
+    /// overwrites all live lanes, and pad lanes are never written, so they
+    /// still hold the zeros they were allocated with.
     pub fn take_destination(&mut self, dest: usize) -> Vec<T> {
         let len = self.padded_partials_len();
         match self.partials[dest].take() {
-            Some(mut v) => {
+            Some(v) => {
                 debug_assert_eq!(v.len(), len);
-                v.iter_mut().for_each(|x| *x = T::ZERO);
                 v
             }
             None => vec![T::ZERO; len],
+        }
+    }
+
+    /// Allocate a never-written destination buffer in place (zero-filled),
+    /// for back-ends that write it through raw pointers while it stays in
+    /// the arena. A buffer that exists is left as it is (see
+    /// [`Self::take_destination`] on why no zero-fill is needed).
+    pub fn ensure_destination(&mut self, dest: usize) {
+        if self.partials[dest].is_none() {
+            self.partials[dest] = Some(vec![T::ZERO; self.padded_partials_len()]);
         }
     }
 
@@ -738,7 +767,7 @@ mod tests {
     fn padded_layout_invisible_at_api() {
         // 3 states padded to 4 lanes: stride 4, one zero pad lane.
         let cfg = InstanceConfig::for_tree(4, 5, 3, 2);
-        let mut padded = InstanceBuffers::<f64>::new_padded(cfg, 4).unwrap();
+        let mut padded = InstanceBuffers::<f64>::new_padded(cfg).unwrap();
         let mut dense = InstanceBuffers::<f64>::new(cfg).unwrap();
         assert_eq!(padded.state_stride, 4);
         assert_eq!(dense.state_stride, 3);
@@ -795,6 +824,31 @@ mod tests {
         padded.set_state_frequencies(0, &[0.2, 0.3, 0.5]).unwrap();
         assert_eq!(padded.frequencies[0].len(), 4);
         assert_eq!(padded.frequencies[0][3], 0.0);
+    }
+
+    #[test]
+    fn simd_stride_is_dense_for_nucleotides_and_padded_otherwise() {
+        assert_eq!(simd_state_stride::<f32>(4), 4);
+        assert_eq!(simd_state_stride::<f64>(4), 4);
+        assert_eq!(simd_state_stride::<f32>(2), 8);
+        assert_eq!(simd_state_stride::<f64>(3), 4);
+        assert_eq!(simd_state_stride::<f32>(20), 24);
+        assert_eq!(simd_state_stride::<f64>(20), 20);
+        assert_eq!(simd_state_stride::<f32>(61), 64);
+        assert_eq!(simd_state_stride::<f64>(61), 64);
+    }
+
+    #[test]
+    fn single_precision_nucleotide_partials_are_dense() {
+        let (patterns, cats) = (10, 3);
+        let cfg = InstanceConfig::for_tree(4, patterns, 4, cats);
+        let mut b = InstanceBuffers::<f32>::new_padded(cfg).unwrap();
+        assert_eq!(b.state_stride, 4);
+        assert_eq!(b.padded_partials_len(), cats * patterns * 4);
+        let p: Vec<f64> = (0..cfg.partials_len()).map(|i| i as f64).collect();
+        b.set_partials(4, &p).unwrap();
+        assert_eq!(b.partials[4].as_ref().unwrap().len(), cats * patterns * 4);
+        assert_eq!(b.take_destination(5).len(), cats * patterns * 4);
     }
 
     #[test]

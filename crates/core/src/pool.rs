@@ -313,7 +313,8 @@ impl LatencyHistogram {
         if self.count == 0 {
             Duration::ZERO
         } else {
-            self.total / self.count as u32
+            let nanos = self.total.as_nanos() / u128::from(self.count);
+            Duration::from_nanos(nanos.min(u128::from(u64::MAX)) as u64)
         }
     }
 
@@ -1643,5 +1644,23 @@ mod tests {
         assert_eq!(h.quantile(0.95), Duration::from_micros(4));
         assert!(h.quantile(1.0) >= Duration::from_millis(32));
         assert_eq!(h.count, 100);
+    }
+
+    #[test]
+    fn histogram_mean_survives_counts_beyond_u32() {
+        // Counts above u32::MAX, multiples of 2^32 included, must divide
+        // exactly rather than truncate the count.
+        for count in [1u64 << 32, (1u64 << 32) + 5, u64::from(u32::MAX) * 3] {
+            let h = LatencyHistogram {
+                count,
+                total: Duration::from_nanos(7 * count),
+                ..LatencyHistogram::default()
+            };
+            assert_eq!(h.mean(), Duration::from_nanos(7), "count {count}");
+        }
+        let mut h = LatencyHistogram::default();
+        h.record(Duration::from_micros(3));
+        h.record(Duration::from_micros(5));
+        assert_eq!(h.mean(), Duration::from_micros(4));
     }
 }

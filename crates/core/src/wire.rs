@@ -248,18 +248,23 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-fn put_vec_f64(buf: &mut Vec<u8>, v: &[f64]) {
+/// Length prefix, then each element's little-endian bytes written into one
+/// block grown once — no per-element capacity check.
+fn put_vec<const N: usize, T: Copy>(buf: &mut Vec<u8>, v: &[T], bytes: impl Fn(T) -> [u8; N]) {
     put_u32(buf, v.len() as u32);
-    for &x in v {
-        put_f64(buf, x);
+    let start = buf.len();
+    buf.resize(start + N * v.len(), 0);
+    for (dst, &x) in buf[start..].chunks_exact_mut(N).zip(v) {
+        dst.copy_from_slice(&bytes(x));
     }
 }
 
+fn put_vec_f64(buf: &mut Vec<u8>, v: &[f64]) {
+    put_vec(buf, v, |x| x.to_bits().to_le_bytes());
+}
+
 fn put_vec_u32(buf: &mut Vec<u8>, v: &[u32]) {
-    put_u32(buf, v.len() as u32);
-    for &x in v {
-        put_u32(buf, x);
-    }
+    put_vec(buf, v, u32::to_le_bytes);
 }
 
 fn encode_session(buf: &mut Vec<u8>, s: &SessionRequest) {
@@ -386,37 +391,95 @@ fn encode_error(buf: &mut Vec<u8>, e: &BeagleError) {
     }
 }
 
-fn encode_payload(frame: &Frame) -> Vec<u8> {
-    let mut buf = Vec::new();
+/// Exact encoded size of a session body, so a Submit frame is written into
+/// one buffer allocated once.
+fn session_len(s: &SessionRequest) -> usize {
+    let vec_f64 = |v: &[f64]| 4 + 8 * v.len();
+    let tips: usize = s.tip_states.iter().map(|t| 4 + 4 * t.len()).sum();
+    let eigen = s
+        .eigen
+        .as_ref()
+        .map_or(0, |(v, i, l)| vec_f64(v) + vec_f64(i) + vec_f64(l));
+    // Per operation: destination, scale flag + index, two (child, matrix).
+    let op_len = 8 + 1 + 8 + 4 * 8;
+    4 + tips
+        + vec_f64(&s.pattern_weights)
+        + vec_f64(&s.category_rates)
+        + vec_f64(&s.category_weights)
+        + vec_f64(&s.frequencies)
+        + 1
+        + eigen
+        + 4
+        + 16 * s.matrices.len()
+        + 4
+        + op_len * s.operations.len()
+        + 8
+        + 1
+        + 8
+}
+
+fn put_submit(buf: &mut Vec<u8>, lane: Lane, session: &SessionRequest) {
+    buf.push(match lane {
+        Lane::Interactive => 0,
+        Lane::Batch => 1,
+    });
+    encode_session(buf, session);
+}
+
+fn encode_payload(buf: &mut Vec<u8>, frame: &Frame) {
     match frame {
-        Frame::Submit { lane, session } => {
-            buf.push(match lane {
-                Lane::Interactive => 0,
-                Lane::Batch => 1,
-            });
-            encode_session(&mut buf, session);
-        }
-        Frame::Result(lnl) => put_f64(&mut buf, *lnl),
+        Frame::Submit { lane, session } => put_submit(buf, *lane, session),
+        Frame::Result(lnl) => put_f64(buf, *lnl),
         Frame::Busy(reason) => buf.push(*reason as u8),
-        Frame::Error(e) => encode_error(&mut buf, e),
+        Frame::Error(e) => encode_error(buf, e),
         Frame::StatsRequest | Frame::Drain => {}
-        Frame::Stats(json) => put_str(&mut buf, json),
+        Frame::Stats(json) => put_str(buf, json),
         Frame::DrainAck { drained } => buf.push(*drained as u8),
     }
+}
+
+/// One frame in a buffer of `payload_hint` payload bytes: the header with a
+/// zero length, then whatever `payload` appends, then the real length
+/// written back into the header. The payload is never copied.
+fn frame_bytes(
+    session_id: u64,
+    frame_type: FrameType,
+    payload_hint: usize,
+    payload: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADER_LEN + payload_hint);
+    buf.extend_from_slice(&MAGIC);
+    buf.push(VERSION);
+    buf.push(frame_type as u8);
+    put_u64(&mut buf, session_id);
+    put_u32(&mut buf, 0);
+    payload(&mut buf);
+    let len = (buf.len() - HEADER_LEN) as u32;
+    buf[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
     buf
 }
 
 /// Encode one complete frame (header + payload) into a byte vector.
 pub fn encode_frame(session_id: u64, frame: &Frame) -> Vec<u8> {
-    let payload = encode_payload(frame);
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-    buf.extend_from_slice(&MAGIC);
-    buf.push(VERSION);
-    buf.push(frame.frame_type() as u8);
-    put_u64(&mut buf, session_id);
-    put_u32(&mut buf, payload.len() as u32);
-    buf.extend_from_slice(&payload);
-    buf
+    let hint = match frame {
+        Frame::Submit { session, .. } => 1 + session_len(session),
+        _ => 0,
+    };
+    frame_bytes(session_id, frame.frame_type(), hint, |buf| {
+        encode_payload(buf, frame)
+    })
+}
+
+/// Encode a Submit frame from a borrowed session — byte for byte what
+/// [`encode_frame`] makes of `Frame::Submit { lane, session }`, without
+/// cloning the session into a frame first.
+fn encode_submit(session_id: u64, lane: Lane, session: &SessionRequest) -> Vec<u8> {
+    frame_bytes(
+        session_id,
+        FrameType::Submit,
+        1 + session_len(session),
+        |buf| put_submit(buf, lane, session),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -507,14 +570,23 @@ impl<'a> Cursor<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed("string not UTF-8"))
     }
 
+    /// A length-prefixed collection of `N`-byte elements, taken as one
+    /// validated block and converted element by element.
+    fn vec<const N: usize, T>(&mut self, from: impl Fn([u8; N]) -> T) -> Result<Vec<T>, WireError> {
+        let count = self.len_prefix(N)?;
+        let block = self.take(count * N)?;
+        Ok(block
+            .chunks_exact(N)
+            .map(|b| from(b.try_into().expect("chunks_exact yields N bytes")))
+            .collect())
+    }
+
     fn vec_f64(&mut self) -> Result<Vec<f64>, WireError> {
-        let count = self.len_prefix(8)?;
-        (0..count).map(|_| self.f64()).collect()
+        self.vec(|b| f64::from_bits(u64::from_le_bytes(b)))
     }
 
     fn vec_u32(&mut self) -> Result<Vec<u32>, WireError> {
-        let count = self.len_prefix(4)?;
-        (0..count).map(|_| self.u32()).collect()
+        self.vec(u32::from_le_bytes)
     }
 
     fn finish(&self) -> Result<(), WireError> {
@@ -758,15 +830,29 @@ pub fn read_frame(reader: &mut impl Read) -> Result<(u64, Frame), WireError> {
     Ok((session_id, decode_payload(frame_type, &payload)?))
 }
 
+fn write_bytes(writer: &mut impl Write, bytes: &[u8]) -> Result<(), WireError> {
+    writer.write_all(bytes).map_err(io_err)?;
+    writer.flush().map_err(io_err)
+}
+
 /// Write one frame to a stream and flush it.
 pub fn write_frame(
     writer: &mut impl Write,
     session_id: u64,
     frame: &Frame,
 ) -> Result<(), WireError> {
-    let bytes = encode_frame(session_id, frame);
-    writer.write_all(&bytes).map_err(io_err)?;
-    writer.flush().map_err(io_err)
+    write_bytes(writer, &encode_frame(session_id, frame))
+}
+
+/// Write a Submit frame for a borrowed session (see [`encode_submit`]) and
+/// flush it.
+pub fn write_submit(
+    writer: &mut impl Write,
+    session_id: u64,
+    lane: Lane,
+    session: &SessionRequest,
+) -> Result<(), WireError> {
+    write_bytes(writer, &encode_submit(session_id, lane, session))
 }
 
 #[cfg(test)]
@@ -789,6 +875,36 @@ mod tests {
             root: BufferId(3),
             scaled: true,
             deadline: Some(Deadline::new(Duration::from_millis(250))),
+        }
+    }
+
+    #[test]
+    fn borrowed_submit_encoder_matches_encode_frame() {
+        let full = sample_session();
+        let bare = SessionRequest {
+            eigen: None,
+            deadline: None,
+            ..sample_session()
+        };
+        for session in [full, bare] {
+            for lane in [Lane::Interactive, Lane::Batch] {
+                let owned = encode_frame(
+                    42,
+                    &Frame::Submit {
+                        lane,
+                        session: Box::new(session.clone()),
+                    },
+                );
+                assert_eq!(encode_submit(42, lane, &session), owned);
+                let mut written = Vec::new();
+                write_submit(&mut written, 42, lane, &session).unwrap();
+                assert_eq!(written, owned);
+                assert_eq!(
+                    owned.len(),
+                    HEADER_LEN + 1 + session_len(&session),
+                    "the size hint is exact, so the frame is allocated once"
+                );
+            }
         }
     }
 

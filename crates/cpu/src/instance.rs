@@ -11,12 +11,16 @@
 //! [`ChunkTask`]/[`RootTask`] structs kept in a reusable [`Scratch`] arena,
 //! the pattern partition is computed once at instance creation, and batches
 //! go to the pool through [`ThreadPool::run_tasks`] (which allocates
-//! nothing per dispatch). Buffers are padded to the SIMD lane width
-//! ([`beagle_core::real::Real::SIMD_LANES`]) so the vector kernels run
-//! remainder-free; the padding never escapes the public API.
+//! nothing per dispatch). Buffers use the SIMD layout of
+//! [`beagle_core::buffers::simd_state_stride`] — nucleotide patterns dense
+//! at stride 4, wider state counts padded to the lane width so the vector
+//! kernels run remainder-free; the padding never escapes the public API.
+//! Each operation runs as one pass over L1-sized pattern tiles (see
+//! [`TILE_BYTES`]): a tile's categories are computed, rescaled and logged
+//! before the next tile is touched.
 
 use beagle_core::api::{BeagleInstance, BufferId, InstanceConfig, InstanceDetails, ScalingMode};
-use beagle_core::buffers::{ChildOperand, InstanceBuffers};
+use beagle_core::buffers::InstanceBuffers;
 use beagle_core::error::{BeagleError, Result};
 use beagle_core::obs::{self, EventKind, KernelClass, Recorder};
 use beagle_core::ops::{dependency_levels, Operation};
@@ -31,6 +35,14 @@ use crate::simd::{select_kind, DispatchKind, DispatchReal, KernelDispatch};
 /// serial implementation, we set a minimum sequence length of 512 patterns
 /// for threading to be used".
 pub const MIN_PATTERNS_FOR_THREADING: usize = 512;
+
+/// Destination bytes (all categories together) one pattern tile of an
+/// operation covers. A tile's partials are written by the kernels and then
+/// read and rewritten by the rescale passes, so it must stay in L1 between
+/// the two: 16 KiB leaves room for the children's tiles and the matrices
+/// in a 32 KiB L1d. Nucleotide f32 with 4 categories gets 256-pattern
+/// tiles; a 61-state f64 codon model with one category gets 32.
+pub const TILE_BYTES: usize = 16 * 1024;
 
 /// Execution strategy for the likelihood kernels.
 pub enum Threading {
@@ -77,7 +89,7 @@ enum OperandPtr<T> {
 /// disjoint parts of `dest`/`scale`, so a batch of them is data-race free.
 struct ChunkTask<T: Real> {
     dest: *mut T,
-    /// Start of this chunk's slice of the scale buffer, or null.
+    /// Start of the operation's scale buffer, or null.
     scale: *mut T,
     c1: OperandPtr<T>,
     c2: OperandPtr<T>,
@@ -93,8 +105,9 @@ struct ChunkTask<T: Real> {
 }
 
 // SAFETY: the pointers reference buffers that outlive the batch (the
-// executing call blocks until every task finished) and distinct tasks write
-// disjoint ranges.
+// executing call blocks until every task finished); tasks of one concurrent
+// batch write disjoint ranges, and none reads a buffer another writes
+// (`level_is_independent`, and a destination is never its own child).
 unsafe impl<T: Real> Send for ChunkTask<T> {}
 
 // SAFETY: a shared `&ChunkTask` exposes no operations at all (every field is
@@ -104,57 +117,65 @@ unsafe impl<T: Real> Send for ChunkTask<T> {}
 // arena doesn't strip `Sync` from `CpuInstance`.
 unsafe impl<T: Real> Sync for ChunkTask<T> {}
 
-/// Execute one chunk task: all category blocks of its pattern range, then
-/// (if requested) the rescaling passes over the same range.
+/// Execute one chunk task in pattern tiles of [`TILE_BYTES`]: each tile
+/// computes every category block, then (if requested) takes the per-pattern
+/// max over the categories, applies it and takes its log while the tile is
+/// still in cache, before the next tile starts. Patterns are independent,
+/// so the tiling changes no bit of the result.
 fn run_chunk<T: DispatchReal>(t: &mut ChunkTask<T>) {
-    let (s, sp, n) = (t.s, t.sp, t.p1 - t.p0);
+    let (s, sp) = (t.s, t.sp);
     let d = t.dispatch;
-    for cat in 0..t.n_cat {
-        let off = (cat * t.n_pat + t.p0) * sp;
-        // SAFETY: `off..off + n*sp` lies inside the destination buffer and
-        // no other task of the batch overlaps it (disjoint pattern ranges).
-        let dest = unsafe { std::slice::from_raw_parts_mut(t.dest.add(off), n * sp) };
-        let m1 = unsafe { std::slice::from_raw_parts(t.m1.add(cat * s * sp), s * sp) };
-        let m2 = unsafe { std::slice::from_raw_parts(t.m2.add(cat * s * sp), s * sp) };
-        match (t.c1, t.c2) {
-            (OperandPtr::Partials(a), OperandPtr::Partials(b)) => {
-                let a = unsafe { std::slice::from_raw_parts(a.add(off), n * sp) };
-                let b = unsafe { std::slice::from_raw_parts(b.add(off), n * sp) };
-                (d.partials_partials)(dest, a, b, m1, m2, s, sp);
-            }
-            (OperandPtr::States(a), OperandPtr::Partials(b)) => {
-                let a = unsafe { std::slice::from_raw_parts(a.add(t.p0), n) };
-                let b = unsafe { std::slice::from_raw_parts(b.add(off), n * sp) };
-                (d.states_partials)(dest, a, b, m1, m2, s, sp);
-            }
-            (OperandPtr::Partials(a), OperandPtr::States(b)) => {
-                // Symmetric kernel with swapped matrices.
-                let a = unsafe { std::slice::from_raw_parts(a.add(off), n * sp) };
-                let b = unsafe { std::slice::from_raw_parts(b.add(t.p0), n) };
-                (d.states_partials)(dest, b, a, m2, m1, s, sp);
-            }
-            (OperandPtr::States(a), OperandPtr::States(b)) => {
-                let a = unsafe { std::slice::from_raw_parts(a.add(t.p0), n) };
-                let b = unsafe { std::slice::from_raw_parts(b.add(t.p0), n) };
-                (d.states_states)(dest, a, b, m1, m2, s, sp);
-            }
-        }
-    }
-    if !t.scale.is_null() {
-        // SAFETY: this chunk's scale slice, disjoint from other tasks'.
-        let scale = unsafe { std::slice::from_raw_parts_mut(t.scale, n) };
-        scale.iter_mut().for_each(|x| *x = T::ZERO);
+    let tile = (TILE_BYTES / (t.n_cat * sp * std::mem::size_of::<T>())).max(1);
+    for q0 in (t.p0..t.p1).step_by(tile) {
+        let n = (q0 + tile).min(t.p1) - q0;
         for cat in 0..t.n_cat {
-            let off = (cat * t.n_pat + t.p0) * sp;
-            let block = unsafe { std::slice::from_raw_parts(t.dest.add(off), n * sp) };
-            (t.dispatch.rescale_max)(block, scale, sp);
+            let off = (cat * t.n_pat + q0) * sp;
+            // SAFETY: `off..off + n*sp` lies inside the destination buffer,
+            // and no task running concurrently touches these patterns of it.
+            let dest = unsafe { std::slice::from_raw_parts_mut(t.dest.add(off), n * sp) };
+            let m1 = unsafe { std::slice::from_raw_parts(t.m1.add(cat * s * sp), s * sp) };
+            let m2 = unsafe { std::slice::from_raw_parts(t.m2.add(cat * s * sp), s * sp) };
+            match (t.c1, t.c2) {
+                (OperandPtr::Partials(a), OperandPtr::Partials(b)) => {
+                    let a = unsafe { std::slice::from_raw_parts(a.add(off), n * sp) };
+                    let b = unsafe { std::slice::from_raw_parts(b.add(off), n * sp) };
+                    (d.partials_partials)(dest, a, b, m1, m2, s, sp);
+                }
+                (OperandPtr::States(a), OperandPtr::Partials(b)) => {
+                    let a = unsafe { std::slice::from_raw_parts(a.add(q0), n) };
+                    let b = unsafe { std::slice::from_raw_parts(b.add(off), n * sp) };
+                    (d.states_partials)(dest, a, b, m1, m2, s, sp);
+                }
+                (OperandPtr::Partials(a), OperandPtr::States(b)) => {
+                    // Symmetric kernel with swapped matrices.
+                    let a = unsafe { std::slice::from_raw_parts(a.add(off), n * sp) };
+                    let b = unsafe { std::slice::from_raw_parts(b.add(q0), n) };
+                    (d.states_partials)(dest, b, a, m2, m1, s, sp);
+                }
+                (OperandPtr::States(a), OperandPtr::States(b)) => {
+                    let a = unsafe { std::slice::from_raw_parts(a.add(q0), n) };
+                    let b = unsafe { std::slice::from_raw_parts(b.add(q0), n) };
+                    (d.states_states)(dest, a, b, m1, m2, s, sp);
+                }
+            }
         }
-        for cat in 0..t.n_cat {
-            let off = (cat * t.n_pat + t.p0) * sp;
-            let block = unsafe { std::slice::from_raw_parts_mut(t.dest.add(off), n * sp) };
-            (t.dispatch.rescale_apply)(block, scale, sp);
+        if !t.scale.is_null() {
+            // SAFETY: these patterns of the scale buffer, which no concurrent
+            // task touches.
+            let scale = unsafe { std::slice::from_raw_parts_mut(t.scale.add(q0), n) };
+            scale.iter_mut().for_each(|x| *x = T::ZERO);
+            for cat in 0..t.n_cat {
+                let off = (cat * t.n_pat + q0) * sp;
+                let block = unsafe { std::slice::from_raw_parts(t.dest.add(off), n * sp) };
+                (d.rescale_max)(block, scale, sp);
+            }
+            for cat in 0..t.n_cat {
+                let off = (cat * t.n_pat + q0) * sp;
+                let block = unsafe { std::slice::from_raw_parts_mut(t.dest.add(off), n * sp) };
+                (d.rescale_apply)(block, scale, sp);
+            }
+            kernels::rescale_finish(scale);
         }
-        kernels::rescale_finish(scale);
     }
 }
 
@@ -261,7 +282,7 @@ impl<T: DispatchReal> CpuInstance<T> {
     ) -> Result<Self> {
         let partition = partition_range(config.pattern_count, threading.thread_count());
         Ok(Self {
-            bufs: InstanceBuffers::new_padded(config, T::SIMD_LANES)?,
+            bufs: InstanceBuffers::new_padded(config)?,
             threading,
             dispatch: T::dispatch(kind),
             min_patterns: MIN_PATTERNS_FOR_THREADING,
@@ -350,43 +371,45 @@ impl<T: DispatchReal> CpuInstance<T> {
         self.dispatch.path
     }
 
-    /// Append this operation's chunk tasks (one per range) to `tasks`.
-    /// The caller must run and clear `tasks` before `dest`/`scale`/`bufs`
-    /// move or mutate.
-    #[allow(clippy::too_many_arguments)]
+    /// Append one chunk task per range of `op` to `tasks`, first allocating
+    /// the destination in place if it was never written. Every pointer
+    /// comes from `Vec::as_ptr`/`as_mut_ptr`, which create no reference to
+    /// the buffer, so writing through one task's destination leaves a later
+    /// task's pointer into the same buffer valid (a destination may be a
+    /// later operation's child). The caller must run and clear `tasks`
+    /// before any buffer of `bufs` is replaced.
     fn push_chunk_tasks(
         tasks: &mut Vec<ChunkTask<T>>,
-        bufs: &InstanceBuffers<T>,
-        dest: &mut [T],
-        scale: Option<&mut Vec<T>>,
+        bufs: &mut InstanceBuffers<T>,
         op: &Operation,
         ranges: &[(usize, usize)],
         dispatch: &'static KernelDispatch<T>,
     ) {
-        let cfg = &bufs.config;
-        let (s, sp) = (cfg.state_count, bufs.state_stride);
-        let operand = |child: usize| match bufs.child_operand(child) {
-            ChildOperand::Partials(p) => OperandPtr::Partials(p.as_ptr()),
-            ChildOperand::States(st) => OperandPtr::States(st.as_ptr()),
+        bufs.ensure_destination(op.destination);
+        let dest = bufs.partials[op.destination]
+            .as_mut()
+            .map(Vec::as_mut_ptr)
+            .expect("destination just ensured");
+        let scale = op.dest_scale_write.map_or(std::ptr::null_mut(), |si| {
+            bufs.scale_buffers[si].as_mut_ptr()
+        });
+        let operand = |child: usize| match (&bufs.partials[child], &bufs.tip_states[child]) {
+            (Some(p), _) => OperandPtr::Partials(p.as_ptr()),
+            (None, Some(st)) => OperandPtr::States(st.as_ptr()),
+            (None, None) => panic!("operand buffer {child} not initialized (validation missed it)"),
         };
-        let c1 = operand(op.child1);
-        let c2 = operand(op.child2);
-        let scale_base = scale.map_or(std::ptr::null_mut(), |sc| sc.as_mut_ptr());
+        let (c1, c2) = (operand(op.child1), operand(op.child2));
+        let cfg = &bufs.config;
         for &(p0, p1) in ranges {
             tasks.push(ChunkTask {
-                dest: dest.as_mut_ptr(),
-                scale: if scale_base.is_null() {
-                    std::ptr::null_mut()
-                } else {
-                    // SAFETY: p0 < pattern_count == scale buffer length.
-                    unsafe { scale_base.add(p0) }
-                },
+                dest,
+                scale,
                 c1,
                 c2,
                 m1: bufs.matrices[op.child1_matrix].as_ptr(),
                 m2: bufs.matrices[op.child2_matrix].as_ptr(),
-                s,
-                sp,
+                s: cfg.state_count,
+                sp: bufs.state_stride,
                 n_pat: cfg.pattern_count,
                 n_cat: cfg.category_count,
                 p0,
@@ -396,72 +419,52 @@ impl<T: DispatchReal> CpuInstance<T> {
         }
     }
 
-    /// Execute one operation serially over the whole pattern range.
-    fn execute_op_serial(&mut self, op: &Operation) {
-        let mut dest = self.bufs.take_destination(op.destination);
-        let mut scale = op
-            .dest_scale_write
-            .map(|si| std::mem::take(&mut self.bufs.scale_buffers[si]));
+    /// Execute operations in list order on the calling thread, each as one
+    /// tiled pass over the whole pattern range.
+    fn execute_ops_serial(&mut self, ops: &[Operation]) {
+        let full_range = [(0, self.bufs.config.pattern_count)];
         let tasks = &mut self.scratch.chunk_tasks;
         tasks.clear();
-        Self::push_chunk_tasks(
-            tasks,
-            &self.bufs,
-            &mut dest,
-            scale.as_mut(),
-            op,
-            &[(0, self.bufs.config.pattern_count)],
-            self.dispatch,
-        );
-        for t in tasks.iter_mut() {
-            run_chunk(t);
+        for op in ops {
+            Self::push_chunk_tasks(tasks, &mut self.bufs, op, &full_range, self.dispatch);
         }
+        tasks.iter_mut().for_each(run_chunk);
         tasks.clear();
-        if let (Some(si), Some(sc)) = (op.dest_scale_write, scale) {
-            self.bufs.scale_buffers[si] = sc;
-        }
-        self.bufs.restore_destination(op.destination, dest);
     }
 
-    /// Execute one operation with pattern-level parallelism.
-    fn execute_op_chunked(&mut self, op: &Operation, use_pool: bool) {
-        let mut dest = self.bufs.take_destination(op.destination);
-        let mut scale = op
-            .dest_scale_write
-            .map(|si| std::mem::take(&mut self.bufs.scale_buffers[si]));
+    /// Run the gathered chunk tasks concurrently and clear them: one pool
+    /// batch (thread-pool) or one scoped thread per task (thread-create
+    /// and futures).
+    fn run_tasks_concurrently(&mut self, use_pool: bool) {
         let tasks = &mut self.scratch.chunk_tasks;
-        tasks.clear();
-        Self::push_chunk_tasks(
-            tasks,
-            &self.bufs,
-            &mut dest,
-            scale.as_mut(),
-            op,
-            &self.partition,
-            self.dispatch,
-        );
-        let n_tasks = tasks.len() as u64;
-        if use_pool {
-            let Threading::ThreadPool { pool } = &self.threading else {
-                unreachable!("use_pool implies pool strategy")
-            };
-            pool.run_tasks(tasks, run_chunk::<T>);
-        } else {
-            // Thread-create: on-demand creation and joining (§VI-B).
-            std::thread::scope(|scope| {
+        match &self.threading {
+            Threading::ThreadPool { pool } if use_pool => {
+                let n_tasks = tasks.len() as u64;
+                pool.run_tasks(tasks, run_chunk::<T>);
+                self.recorder.tally(KernelClass::PoolDispatch, n_tasks, 0);
+            }
+            // Thread-create and futures: threads created and joined per
+            // batch (§VI-A, §VI-B).
+            _ => std::thread::scope(|scope| {
                 for t in tasks.iter_mut() {
                     scope.spawn(move || run_chunk(t));
                 }
-            });
+            }),
         }
         tasks.clear();
-        if use_pool {
-            self.recorder.tally(KernelClass::PoolDispatch, n_tasks, 0);
+    }
+
+    /// Operations with pattern-level parallelism in one dispatch: every
+    /// operation's per-partition chunk tasks are gathered and run together,
+    /// so `ops` must be mutually independent. Chunk boundaries are those of
+    /// the per-op path, so results are bit-for-bit equal to it.
+    fn execute_batch_chunked(&mut self, ops: &[Operation], use_pool: bool) {
+        let tasks = &mut self.scratch.chunk_tasks;
+        tasks.clear();
+        for op in ops {
+            Self::push_chunk_tasks(tasks, &mut self.bufs, op, &self.partition, self.dispatch);
         }
-        if let (Some(si), Some(sc)) = (op.dest_scale_write, scale) {
-            self.bufs.scale_buffers[si] = sc;
-        }
-        self.bufs.restore_destination(op.destination, dest);
+        self.run_tasks_concurrently(use_pool);
     }
 
     /// Futures model: operations that are independent in the tree run as
@@ -472,132 +475,46 @@ impl<T: DispatchReal> CpuInstance<T> {
         }
     }
 
-    /// True if two operations in `level` share a destination or scale
-    /// target — scheduling them concurrently would race, so batched paths
-    /// fall back to sequential execution. Level plans built by
-    /// `beagle_core::ops` never trip this; it guards hand-built plans.
-    fn level_has_output_conflict(level: &[Operation]) -> bool {
+    /// True if the operations of `level` may run concurrently: no two share
+    /// a destination or scale target and none reads another's destination.
+    /// Level plans built by `beagle_core::ops` always pass; this guards
+    /// hand-built plans, which then run sequentially.
+    fn level_is_independent(level: &[Operation]) -> bool {
         let mut dests = std::collections::HashSet::new();
         let mut scales = std::collections::HashSet::new();
-        level.iter().any(|op| {
-            !dests.insert(op.destination) || op.dest_scale_write.is_some_and(|s| !scales.insert(s))
-        })
+        level.iter().all(|op| {
+            dests.insert(op.destination) && op.dest_scale_write.is_none_or(|s| scales.insert(s))
+        }) && level
+            .iter()
+            .all(|op| !dests.contains(&op.child1) && !dests.contains(&op.child2))
     }
 
     /// One level of mutually independent operations, each as its own
     /// full-pattern-range task on a scoped thread (the futures model).
     fn execute_level_concurrent(&mut self, level: &[Operation]) {
-        if level.len() == 1 {
-            self.execute_op_serial(&level[0]);
+        if level.len() == 1 || !Self::level_is_independent(level) {
+            self.execute_ops_serial(level);
             return;
         }
-        if Self::level_has_output_conflict(level) {
-            for op in level {
-                self.execute_op_serial(op);
-            }
-            return;
-        }
-        // Take every destination (and scale target) out of the arena so
-        // each task owns its output while sharing read access to inputs.
-        let mut outputs: Vec<(Vec<T>, Option<Vec<T>>)> = level
-            .iter()
-            .map(|op| {
-                let dest = self.bufs.take_destination(op.destination);
-                let scale = op
-                    .dest_scale_write
-                    .map(|si| std::mem::take(&mut self.bufs.scale_buffers[si]));
-                (dest, scale)
-            })
-            .collect();
         let full_range = [(0, self.bufs.config.pattern_count)];
         let tasks = &mut self.scratch.chunk_tasks;
         tasks.clear();
-        for (op, (dest, scale)) in level.iter().zip(outputs.iter_mut()) {
-            Self::push_chunk_tasks(
-                tasks,
-                &self.bufs,
-                dest,
-                scale.as_mut(),
-                op,
-                &full_range,
-                self.dispatch,
-            );
+        for op in level {
+            Self::push_chunk_tasks(tasks, &mut self.bufs, op, &full_range, self.dispatch);
         }
-        std::thread::scope(|scope| {
-            for t in tasks.iter_mut() {
-                scope.spawn(move || run_chunk(t));
-            }
-        });
-        tasks.clear();
-        for (op, (dest, scale)) in level.iter().zip(outputs) {
-            if let (Some(si), Some(sc)) = (op.dest_scale_write, scale) {
-                self.bufs.scale_buffers[si] = sc;
-            }
-            self.bufs.restore_destination(op.destination, dest);
-        }
+        self.run_tasks_concurrently(false);
     }
 
     /// One level of mutually independent operations as a single batched
-    /// dispatch: the per-op pattern-range chunk tasks of the whole level are
-    /// gathered and submitted in one pool batch (thread-pool) or one thread
-    /// scope (thread-create). Chunk boundaries are identical to the eager
-    /// per-op path, so results stay bit-for-bit equal.
+    /// dispatch (one pool batch or one thread scope) instead of one per
+    /// operation.
     fn execute_level_chunked(&mut self, level: &[Operation], use_pool: bool) {
-        if level.len() == 1 {
-            self.execute_op_chunked(&level[0], use_pool);
-            return;
-        }
-        if Self::level_has_output_conflict(level) {
-            for op in level {
-                self.execute_op_chunked(op, use_pool);
-            }
-            return;
-        }
-        let mut outputs: Vec<(Vec<T>, Option<Vec<T>>)> = level
-            .iter()
-            .map(|op| {
-                let dest = self.bufs.take_destination(op.destination);
-                let scale = op
-                    .dest_scale_write
-                    .map(|si| std::mem::take(&mut self.bufs.scale_buffers[si]));
-                (dest, scale)
-            })
-            .collect();
-        let tasks = &mut self.scratch.chunk_tasks;
-        tasks.clear();
-        for (op, (dest, scale)) in level.iter().zip(outputs.iter_mut()) {
-            Self::push_chunk_tasks(
-                tasks,
-                &self.bufs,
-                dest,
-                scale.as_mut(),
-                op,
-                &self.partition,
-                self.dispatch,
-            );
-        }
-        let n_tasks = tasks.len() as u64;
-        if use_pool {
-            let Threading::ThreadPool { pool } = &self.threading else {
-                unreachable!("use_pool implies pool strategy")
-            };
-            pool.run_tasks(tasks, run_chunk::<T>);
+        if Self::level_is_independent(level) {
+            self.execute_batch_chunked(level, use_pool);
         } else {
-            std::thread::scope(|scope| {
-                for t in tasks.iter_mut() {
-                    scope.spawn(move || run_chunk(t));
-                }
-            });
-        }
-        tasks.clear();
-        if use_pool {
-            self.recorder.tally(KernelClass::PoolDispatch, n_tasks, 0);
-        }
-        for (op, (dest, scale)) in level.iter().zip(outputs) {
-            if let (Some(si), Some(sc)) = (op.dest_scale_write, scale) {
-                self.bufs.scale_buffers[si] = sc;
+            for op in level {
+                self.execute_batch_chunked(std::slice::from_ref(op), use_pool);
             }
-            self.bufs.restore_destination(op.destination, dest);
         }
     }
 
@@ -921,19 +838,15 @@ impl<T: DispatchReal> BeagleInstance for CpuInstance<T> {
         });
         let n_pat = self.bufs.config.pattern_count;
         match self.threading {
-            Threading::Serial => {
-                for op in operations {
-                    self.execute_op_serial(op);
-                }
-            }
+            Threading::Serial => self.execute_ops_serial(operations),
             Threading::Futures => self.execute_ops_futures(operations),
             Threading::ThreadCreate { .. } | Threading::ThreadPool { .. } => {
                 let use_pool = matches!(self.threading, Threading::ThreadPool { .. });
-                for op in operations {
-                    if n_pat < self.min_patterns {
-                        self.execute_op_serial(op);
-                    } else {
-                        self.execute_op_chunked(op, use_pool);
+                if n_pat < self.min_patterns {
+                    self.execute_ops_serial(operations);
+                } else {
+                    for op in operations {
+                        self.execute_batch_chunked(std::slice::from_ref(op), use_pool);
                     }
                 }
             }
@@ -961,11 +874,7 @@ impl<T: DispatchReal> BeagleInstance for CpuInstance<T> {
         });
         let n_pat = self.bufs.config.pattern_count;
         match self.threading {
-            Threading::Serial => {
-                for op in &flat {
-                    self.execute_op_serial(op);
-                }
-            }
+            Threading::Serial => self.execute_ops_serial(&flat),
             // The futures model is already level-structured: run each given
             // level as one wave of scoped tasks.
             Threading::Futures => {
@@ -977,9 +886,7 @@ impl<T: DispatchReal> BeagleInstance for CpuInstance<T> {
                 let use_pool = matches!(self.threading, Threading::ThreadPool { .. });
                 if n_pat < self.min_patterns {
                     // Below the threading threshold batching buys nothing.
-                    for op in &flat {
-                        self.execute_op_serial(op);
-                    }
+                    self.execute_ops_serial(&flat);
                 } else {
                     // One dispatch per dependency level instead of one per
                     // operation — the batching win the queue is after.
@@ -1121,5 +1028,74 @@ impl<T: DispatchReal> BeagleInstance for CpuInstance<T> {
 
     fn take_journal(&mut self) -> Vec<obs::Event> {
         self.recorder.take_journal()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use beagle_core::flags::Flags;
+
+    fn instance(s: usize, kind: DispatchKind) -> CpuInstance<f32> {
+        let details = InstanceDetails {
+            implementation_name: "test".into(),
+            resource_name: "test".into(),
+            flags: Flags::NONE,
+            thread_count: 1,
+        };
+        let config = InstanceConfig::for_tree(3, 13, s, 2);
+        CpuInstance::with_dispatch_kind(config, Threading::Serial, kind, details).unwrap()
+    }
+
+    /// Destinations are reused without zero-filling, so a wide-state f32
+    /// buffer's pad lanes must still be exact zeros after client partials
+    /// and then operations have been written into it.
+    #[test]
+    fn wide_f32_destination_keeps_zero_pad_lanes_on_reuse() {
+        for s in [20, 61] {
+            for kind in [
+                DispatchKind::Scalar,
+                DispatchKind::Portable,
+                DispatchKind::Avx2,
+            ] {
+                let mut inst = instance(s, kind);
+                let cfg = inst.bufs.config;
+                let sp = inst.bufs.state_stride;
+                assert!(sp > s, "s={s} must be padded");
+                let states: Vec<u32> = (0..13).map(|p| (p * 7 % s) as u32).collect();
+                inst.set_tip_states(0, &states).unwrap();
+                let tip: Vec<f64> = (0..13 * s).map(|i| 0.1 + (i % 9) as f64 / 10.0).collect();
+                inst.set_tip_partials(1, &tip).unwrap();
+                inst.set_tip_states(2, &states).unwrap();
+                let m: Vec<f64> = (0..cfg.matrix_len())
+                    .map(|i| 0.01 + (i % 13) as f64 / 20.0)
+                    .collect();
+                for b in 0..cfg.matrix_buffer_count {
+                    inst.set_transition_matrix(b, &m).unwrap();
+                }
+                inst.set_partials(3, &vec![0.5; cfg.partials_len()])
+                    .unwrap();
+                let ops = [
+                    Operation::new(3, 0, 0, 1, 1).with_scaling(0),
+                    Operation::new(4, 3, 3, 2, 2).with_scaling(1),
+                    Operation::new(3, 1, 1, 2, 2),
+                    Operation::new(4, 0, 0, 3, 3),
+                ];
+                for op in ops {
+                    inst.update_partials(&[op]).unwrap();
+                    for b in [3, 4] {
+                        let Some(buf) = &inst.bufs.partials[b] else {
+                            continue;
+                        };
+                        for pat in buf.chunks_exact(sp) {
+                            assert!(
+                                pat[s..].iter().all(|x| x.to_bits() == 0),
+                                "s={s} {kind:?}: buffer {b} pad lane written"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

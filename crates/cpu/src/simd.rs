@@ -8,17 +8,24 @@
 //! * **portable** — the unrolled 4-state kernels in [`crate::vector`] where
 //!   applicable (generic kernels otherwise), used when the instance asked
 //!   for vectorization but the host lacks AVX2+FMA (or isn't x86-64);
-//! * **avx2** — explicit `std::arch` AVX2+FMA intrinsics (`f64`×4 /
-//!   `f32`×8), selected when `is_x86_feature_detected!` confirms support.
+//! * **avx2** — explicit `std::arch` AVX2+FMA intrinsics, selected when
+//!   `is_x86_feature_detected!` confirms support.
 //!
-//! The AVX2 kernels rely on the padded buffer layout (see
-//! `beagle_core::buffers`): each pattern's state vector and each matrix row
-//! occupy `sp` lanes where `sp` is the state count rounded up to
-//! [`Real::SIMD_LANES`], with pad lanes holding exact zeros. Inner dot
-//! products therefore run remainder-free over the full stride — the zero
-//! pads contribute nothing — and wide state counts (s=20 amino acid, s=61
-//! codon) are tiled over destination rows so the matrix tile stays in L1
-//! while patterns stream.
+//! The kernels rely on the buffer layout of
+//! `beagle_core::buffers::simd_state_stride`: each pattern's state vector
+//! and each matrix row occupy `sp` lanes, with pad lanes holding exact
+//! zeros. Nucleotide (4-state) buffers are dense at `sp == 4` in both
+//! precisions, so an f32 pattern is one 128-bit vector and an f64 pattern
+//! one 256-bit vector, and nothing is padded. The 4-state AVX2 kernels —
+//! the three partials kernels in both precisions, and in f32 also both
+//! rescale passes and root and edge integration — replay the portable
+//! kernels' exact operation sequence, so those pairs agree bit for bit. Wide state counts (s=20 amino acid, s=61 codon) pad
+//! `sp` to a multiple of [`Real::SIMD_LANES`] (`f64`×4 / `f32`×8); their
+//! inner dot products run remainder-free over the full stride — the zero
+//! pads contribute nothing — and are tiled over destination rows so the
+//! matrix tile stays in L1 while patterns stream. Their tree-reduced dots
+//! (and the f64 root and edge dots) agree with the scalar kernels to a few
+//! ulps, not bit for bit.
 //!
 //! Setting the environment variable `BEAGLE_FORCE_SCALAR` (to anything but
 //! `"0"`) at instance creation forces the scalar table regardless of host
@@ -422,6 +429,24 @@ mod avx2 {
         }
     }
 
+    /// Nucleotide states×states: each child selects one matrix column, or
+    /// all ones for a gap, from a five-entry table (see `ss4_ps`).
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn ss4_pd(dest: &mut [f64], s1: &[u32], s2: &[u32], m1: &[f64], m2: &[f64]) {
+        let ones = _mm256_set1_pd(1.0);
+        let col = |m: &[f64], j: usize| _mm256_set_pd(m[12 + j], m[8 + j], m[4 + j], m[j]);
+        let (m1, m2) = (&m1[..16], &m2[..16]);
+        let t1 = [col(m1, 0), col(m1, 1), col(m1, 2), col(m1, 3), ones];
+        let t2 = [col(m2, 0), col(m2, 1), col(m2, 2), col(m2, 3), ones];
+        for ((d, &a), &b) in dest.chunks_exact_mut(4).zip(s1).zip(s2) {
+            let p = _mm256_mul_pd(t1[(a as usize).min(4)], t2[(b as usize).min(4)]);
+            _mm256_storeu_pd(d.as_mut_ptr(), p);
+        }
+    }
+
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn hmax_pd(v: __m256d) -> f64 {
@@ -588,54 +613,54 @@ mod avx2 {
         ))
     }
 
-    /// Column `j` of a 4-row matrix with row stride `sp`, as one 128-bit
-    /// vector (f32 nucleotide kernels only touch the first 4 lanes).
+    // The f32 stride-4 kernels below walk their slices with `chunks_exact`
+    // or bound every raw index by a length checked first, so their only
+    // safety requirement is the one every function in this module has.
+
+    /// The four columns of the dense 4×4 matrix at the start of `m`.
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn col_ps(m: *const f32, sp: usize, j: usize) -> __m128 {
-        _mm_set_ps(
-            *m.add(3 * sp + j),
-            *m.add(2 * sp + j),
-            *m.add(sp + j),
-            *m.add(j),
-        )
+    unsafe fn cols4_ps(m: &[f32]) -> [__m128; 4] {
+        let m = &m[..16];
+        let col = |j: usize| _mm_set_ps(m[12 + j], m[8 + j], m[4 + j], m[j]);
+        [col(0), col(1), col(2), col(3)]
+    }
+
+    /// `M·x` for one state vector `x`, lanes = rows of `M`: the portable
+    /// kernel's per-row chain `fma(m3,x3, fma(m2,x2, fma(m1,x1, m0·x0)))`,
+    /// so the two agree bit for bit.
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn matvec4_ps(cols: &[__m128; 4], x: &[f32]) -> __m128 {
+        let mut acc = _mm_mul_ps(cols[0], _mm_set1_ps(x[0]));
+        acc = _mm_fmadd_ps(cols[1], _mm_set1_ps(x[1]), acc);
+        acc = _mm_fmadd_ps(cols[2], _mm_set1_ps(x[2]), acc);
+        _mm_fmadd_ps(cols[3], _mm_set1_ps(x[3]), acc)
     }
 
     // ---- f32 kernels ----
 
-    /// f32 nucleotide partials×partials: 4 states live in an 8-lane padded
-    /// stride; compute in 128-bit lanes and store only the live half so the
-    /// pad stays zero. Same per-lane FMA chain as the portable kernel.
+    /// f32 nucleotide partials×partials at stride 4: one 128-bit vector per
+    /// pattern and child, the same per-lane FMA chain as the portable kernel.
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA.
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn pp4_ps(dest: &mut [f32], c1: &[f32], c2: &[f32], m1: &[f32], m2: &[f32], sp: usize) {
-        let m1p = m1.as_ptr();
-        let m2p = m2.as_ptr();
-        let (m10, m11, m12, m13) = (
-            col_ps(m1p, sp, 0),
-            col_ps(m1p, sp, 1),
-            col_ps(m1p, sp, 2),
-            col_ps(m1p, sp, 3),
-        );
-        let (m20, m21, m22, m23) = (
-            col_ps(m2p, sp, 0),
-            col_ps(m2p, sp, 1),
-            col_ps(m2p, sp, 2),
-            col_ps(m2p, sp, 3),
-        );
+    unsafe fn pp4_ps(dest: &mut [f32], c1: &[f32], c2: &[f32], m1: &[f32], m2: &[f32]) {
+        let (k1, k2) = (cols4_ps(m1), cols4_ps(m2));
         for ((d, a), b) in dest
-            .chunks_exact_mut(sp)
-            .zip(c1.chunks_exact(sp))
-            .zip(c2.chunks_exact(sp))
+            .chunks_exact_mut(4)
+            .zip(c1.chunks_exact(4))
+            .zip(c2.chunks_exact(4))
         {
-            let mut s1 = _mm_mul_ps(m10, _mm_set1_ps(a[0]));
-            s1 = _mm_fmadd_ps(m11, _mm_set1_ps(a[1]), s1);
-            s1 = _mm_fmadd_ps(m12, _mm_set1_ps(a[2]), s1);
-            s1 = _mm_fmadd_ps(m13, _mm_set1_ps(a[3]), s1);
-            let mut s2 = _mm_mul_ps(m20, _mm_set1_ps(b[0]));
-            s2 = _mm_fmadd_ps(m21, _mm_set1_ps(b[1]), s2);
-            s2 = _mm_fmadd_ps(m22, _mm_set1_ps(b[2]), s2);
-            s2 = _mm_fmadd_ps(m23, _mm_set1_ps(b[3]), s2);
-            _mm_storeu_ps(d.as_mut_ptr(), _mm_mul_ps(s1, s2));
+            let p = _mm_mul_ps(matvec4_ps(&k1, a), matvec4_ps(&k2, b));
+            _mm_storeu_ps(d.as_mut_ptr(), p);
         }
     }
 
@@ -650,7 +675,8 @@ mod avx2 {
         sp: usize,
     ) {
         if s == 4 {
-            return pp4_ps(dest, c1, c2, m1, m2, sp);
+            debug_assert_eq!(sp, 4);
+            return pp4_ps(dest, c1, c2, m1, m2);
         }
         let n_pat = dest.len() / sp;
         let mut i0 = 0;
@@ -670,6 +696,31 @@ mod avx2 {
         }
     }
 
+    /// f32 nucleotide states×partials at stride 4: the partials child runs
+    /// the `pp4_ps` chain, the tip child selects one column of `m1` (all
+    /// ones for a gap, which multiplies exactly like the portable kernel's
+    /// plain copy).
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn sp4_ps(dest: &mut [f32], s1: &[u32], c2: &[f32], m1: &[f32], m2: &[f32]) {
+        let (k1, k2) = (cols4_ps(m1), cols4_ps(m2));
+        let ones = _mm_set1_ps(1.0);
+        for ((d, &st), b) in dest
+            .chunks_exact_mut(4)
+            .zip(s1.iter())
+            .zip(c2.chunks_exact(4))
+        {
+            let p1 = if st == GAP_STATE {
+                ones
+            } else {
+                k1[st as usize]
+            };
+            _mm_storeu_ps(d.as_mut_ptr(), _mm_mul_ps(p1, matvec4_ps(&k2, b)));
+        }
+    }
+
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn sp_ps(
         dest: &mut [f32],
@@ -680,6 +731,10 @@ mod avx2 {
         s: usize,
         sp: usize,
     ) {
+        if s == 4 {
+            debug_assert_eq!(sp, 4);
+            return sp4_ps(dest, s1, c2, m1, m2);
+        }
         for ((d, &st), b) in dest
             .chunks_exact_mut(sp)
             .zip(s1.iter())
@@ -707,8 +762,64 @@ mod avx2 {
         _mm_cvtss_f32(_mm_max_ss(m, _mm_shuffle_ps(m, m, 0x55)))
     }
 
+    /// f32 nucleotide states×states at stride 4: each child selects one
+    /// column of its matrix, or all ones for a gap, from a five-entry
+    /// table; the product is the portable kernel's `p1 * p2` per lane.
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn ss4_ps(dest: &mut [f32], s1: &[u32], s2: &[u32], m1: &[f32], m2: &[f32]) {
+        let ones = _mm_set1_ps(1.0);
+        let (k1, k2) = (cols4_ps(m1), cols4_ps(m2));
+        // Index 4 is the gap column: valid states are 0..4, GAP_STATE is
+        // u32::MAX.
+        let t1 = [k1[0], k1[1], k1[2], k1[3], ones];
+        let t2 = [k2[0], k2[1], k2[2], k2[3], ones];
+        for ((d, &a), &b) in dest.chunks_exact_mut(4).zip(s1).zip(s2) {
+            let p = _mm_mul_ps(t1[(a as usize).min(4)], t2[(b as usize).min(4)]);
+            _mm_storeu_ps(d.as_mut_ptr(), p);
+        }
+    }
+
+    /// Stride-4 rescale max, four patterns at a time: a 4×4 transpose puts
+    /// state `k` of pattern `j` in lane `j` of row `k`. `maxps(a, b)` is
+    /// `if a > b { a } else { b }`, exactly `Real::max`, so replaying the
+    /// portable kernel's pairing — `max(mx, max(max(q0, q1), max(q2, q3)))`
+    /// — is bit-exact even for signed zeros.
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn rescale_max4_ps(block: &[f32], maxes: &mut [f32]) {
+        let n = maxes.len().min(block.len() / 4);
+        let (q, mx) = (block.as_ptr(), maxes.as_mut_ptr());
+        let mut p = 0;
+        while p + 4 <= n {
+            let r = q.add(4 * p);
+            let mut x0 = _mm_loadu_ps(r);
+            let mut x1 = _mm_loadu_ps(r.add(4));
+            let mut x2 = _mm_loadu_ps(r.add(8));
+            let mut x3 = _mm_loadu_ps(r.add(12));
+            _MM_TRANSPOSE4_PS(&mut x0, &mut x1, &mut x2, &mut x3);
+            let m = _mm_max_ps(_mm_max_ps(x0, x1), _mm_max_ps(x2, x3));
+            _mm_storeu_ps(mx.add(p), _mm_max_ps(_mm_loadu_ps(mx.add(p)), m));
+            p += 4;
+        }
+        for p in p..n {
+            let v = _mm_loadu_ps(q.add(4 * p));
+            // Lanes 0 and 2 hold max(q0, q1) and max(q2, q3).
+            let pairs = _mm_max_ps(v, _mm_shuffle_ps(v, v, 0b10_11_00_01));
+            let m = _mm_max_ss(pairs, _mm_movehl_ps(pairs, pairs));
+            *mx.add(p) = _mm_cvtss_f32(_mm_max_ss(_mm_set_ss(*mx.add(p)), m));
+        }
+    }
+
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn rescale_max_ps(block: &[f32], maxes: &mut [f32], sp: usize) {
+        if sp == 4 {
+            return rescale_max4_ps(block, maxes);
+        }
         for (mx, q) in maxes.iter_mut().zip(block.chunks_exact(sp)) {
             let mut v = _mm256_loadu_ps(q.as_ptr());
             let mut j = 8;
@@ -723,8 +834,50 @@ mod avx2 {
         }
     }
 
+    /// Stride-4 rescale apply, four patterns at a time. The factor is
+    /// `1/mx` (one correctly rounded division per lane, as the portable
+    /// kernel's scalar one) where `mx > 0`, and 1 elsewhere — `x·1 == x`,
+    /// the same as the portable kernel skipping the pattern.
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn rescale_apply4_ps(block: &mut [f32], maxes: &[f32]) {
+        let n = maxes.len().min(block.len() / 4);
+        let (q, mx) = (block.as_mut_ptr(), maxes.as_ptr());
+        let ones = _mm_set1_ps(1.0);
+        let lo = _mm256_setr_epi32(0, 0, 0, 0, 1, 1, 1, 1);
+        let hi = _mm256_setr_epi32(2, 2, 2, 2, 3, 3, 3, 3);
+        let mut p = 0;
+        while p + 4 <= n {
+            let m = _mm_loadu_ps(mx.add(p));
+            let positive = _mm_cmp_ps::<_CMP_GT_OQ>(m, _mm_setzero_ps());
+            let f = _mm256_castps128_ps256(_mm_blendv_ps(ones, _mm_div_ps(ones, m), positive));
+            let r = q.add(4 * p);
+            _mm256_storeu_ps(
+                r,
+                _mm256_mul_ps(_mm256_loadu_ps(r), _mm256_permutevar8x32_ps(f, lo)),
+            );
+            _mm256_storeu_ps(
+                r.add(8),
+                _mm256_mul_ps(_mm256_loadu_ps(r.add(8)), _mm256_permutevar8x32_ps(f, hi)),
+            );
+            p += 4;
+        }
+        for p in p..n {
+            let m = *mx.add(p);
+            if m > 0.0 {
+                let r = q.add(4 * p);
+                _mm_storeu_ps(r, _mm_mul_ps(_mm_loadu_ps(r), _mm_set1_ps(1.0 / m)));
+            }
+        }
+    }
+
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn rescale_apply_ps(block: &mut [f32], maxes: &[f32], sp: usize) {
+        if sp == 4 {
+            return rescale_apply4_ps(block, maxes);
+        }
         for (&mx, q) in maxes.iter().zip(block.chunks_exact_mut(sp)) {
             if mx > 0.0 {
                 let inv = _mm256_set1_ps(1.0 / mx);
@@ -738,6 +891,91 @@ mod avx2 {
         }
     }
 
+    /// Turn per-pattern site likelihoods (accumulated in `site_lnl`) into
+    /// log-likelihoods plus the cumulative scale, returning the weighted
+    /// sum — the tail every f32 root/edge kernel shares with the portable
+    /// kernels, in the same per-pattern order.
+    fn finish_sites(
+        site_lnl: &mut [f32],
+        pattern_weights: &[f32],
+        cumulative_scale: Option<&[f32]>,
+        p0: usize,
+    ) -> f64 {
+        let mut total = 0.0f64;
+        for (lp, site) in site_lnl.iter_mut().enumerate() {
+            let p = p0 + lp;
+            let mut lnl = site.ln();
+            if let Some(cs) = cumulative_scale {
+                lnl += cs[p];
+            }
+            *site = lnl;
+            total += pattern_weights[p] as f64 * lnl as f64;
+        }
+        total
+    }
+
+    /// f32 nucleotide root integration at stride 4. Category-outer so each
+    /// category block streams once; four patterns at a time are transposed
+    /// so lane `j` runs pattern `j`'s chain `fma(f3,r3, fma(f2,r2, fma(f1,r1,
+    /// fma(f0,r0, 0))))` and then `site = fma(w, sum, site)` — the portable
+    /// kernel's exact sequence, accumulated in `site_lnl`.
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn root4_ps(
+        site_lnl: &mut [f32],
+        root: &[f32],
+        freqs: &[f32],
+        cat_weights: &[f32],
+        pattern_weights: &[f32],
+        cumulative_scale: Option<&[f32]>,
+        n_pat_total: usize,
+        p0: usize,
+    ) -> f64 {
+        let n = site_lnl.len();
+        // Bounds every raw read below: category `c`'s patterns `p0..p0 + n`.
+        assert!(p0 + n <= n_pat_total && root.len() >= cat_weights.len() * n_pat_total * 4);
+        site_lnl.fill(0.0);
+        let f = [
+            _mm_set1_ps(freqs[0]),
+            _mm_set1_ps(freqs[1]),
+            _mm_set1_ps(freqs[2]),
+            _mm_set1_ps(freqs[3]),
+        ];
+        let site = site_lnl.as_mut_ptr();
+        for (c, &w) in cat_weights.iter().enumerate() {
+            let block = root.as_ptr().add((c * n_pat_total + p0) * 4);
+            let wv = _mm_set1_ps(w);
+            let mut lp = 0;
+            while lp + 4 <= n {
+                let r = block.add(lp * 4);
+                let mut x0 = _mm_loadu_ps(r);
+                let mut x1 = _mm_loadu_ps(r.add(4));
+                let mut x2 = _mm_loadu_ps(r.add(8));
+                let mut x3 = _mm_loadu_ps(r.add(12));
+                _MM_TRANSPOSE4_PS(&mut x0, &mut x1, &mut x2, &mut x3);
+                let mut sum = _mm_fmadd_ps(f[0], x0, _mm_setzero_ps());
+                sum = _mm_fmadd_ps(f[1], x1, sum);
+                sum = _mm_fmadd_ps(f[2], x2, sum);
+                sum = _mm_fmadd_ps(f[3], x3, sum);
+                let acc = site.add(lp);
+                _mm_storeu_ps(acc, _mm_fmadd_ps(wv, sum, _mm_loadu_ps(acc)));
+                lp += 4;
+            }
+            for lp in lp..n {
+                let r = block.add(lp * 4);
+                let mut sum = 0.0f32;
+                for k in 0..4 {
+                    sum = freqs[k].mul_add(*r.add(k), sum);
+                }
+                *site.add(lp) = w.mul_add(sum, *site.add(lp));
+            }
+        }
+        finish_sites(site_lnl, pattern_weights, cumulative_scale, p0)
+    }
+
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn root_ps(
@@ -747,28 +985,85 @@ mod avx2 {
         cat_weights: &[f32],
         pattern_weights: &[f32],
         cumulative_scale: Option<&[f32]>,
-        _s: usize,
+        s: usize,
         sp: usize,
         n_pat_total: usize,
         p0: usize,
     ) -> f64 {
-        let mut total = 0.0f64;
-        for lp in 0..site_lnl.len() {
+        if s == 4 {
+            debug_assert_eq!(sp, 4);
+            return root4_ps(
+                site_lnl,
+                root,
+                freqs,
+                cat_weights,
+                pattern_weights,
+                cumulative_scale,
+                n_pat_total,
+                p0,
+            );
+        }
+        // Bounds the raw `dot_ps` reads below.
+        assert!(p0 + site_lnl.len() <= n_pat_total && freqs.len() >= sp);
+        assert!(root.len() >= cat_weights.len() * n_pat_total * sp);
+        for (lp, site) in site_lnl.iter_mut().enumerate() {
             let p = p0 + lp;
-            let mut site = 0.0f32;
+            *site = 0.0;
             for (c, &w) in cat_weights.iter().enumerate() {
                 let base = (c * n_pat_total + p) * sp;
                 let sum = dot_ps(freqs.as_ptr(), root.as_ptr().add(base), sp);
-                site = w.mul_add(sum, site);
+                *site = w.mul_add(sum, *site);
             }
-            let mut lnl = site.ln();
-            if let Some(cs) = cumulative_scale {
-                lnl += cs[p];
-            }
-            site_lnl[lp] = lnl;
-            total += pattern_weights[p] as f64 * lnl as f64;
         }
-        total
+        finish_sites(site_lnl, pattern_weights, cumulative_scale, p0)
+    }
+
+    /// f32 nucleotide edge integration (partials child) at stride 4.
+    /// Per pattern and category the child is propagated with the portable
+    /// chain `fma(m3,c3, fma(m2,c2, fma(m1,c1, fma(m0,c0, 0))))` in lanes
+    /// (rows), multiplied by `freqs·parent`, and the four terms are summed
+    /// left to right from zero, as the portable kernel does.
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn edge4_ps(
+        site_lnl: &mut [f32],
+        parent: &[f32],
+        child: &[f32],
+        matrix: &[f32],
+        freqs: &[f32],
+        cat_weights: &[f32],
+        pattern_weights: &[f32],
+        cumulative_scale: Option<&[f32]>,
+        n_pat_total: usize,
+        p0: usize,
+    ) -> f64 {
+        let n = site_lnl.len();
+        site_lnl.fill(0.0);
+        let fv = _mm_loadu_ps(freqs[..4].as_ptr());
+        for (c, &w) in cat_weights.iter().enumerate() {
+            let k = cols4_ps(&matrix[c * 16..(c + 1) * 16]);
+            let block = (c * n_pat_total + p0) * 4..(c * n_pat_total + p0 + n) * 4;
+            let (par, ch) = (&parent[block.clone()], &child[block]);
+            for ((site, x), q) in site_lnl
+                .iter_mut()
+                .zip(ch.chunks_exact(4))
+                .zip(par.chunks_exact(4))
+            {
+                let mut prop = _mm_fmadd_ps(k[0], _mm_set1_ps(x[0]), _mm_setzero_ps());
+                prop = _mm_fmadd_ps(k[1], _mm_set1_ps(x[1]), prop);
+                prop = _mm_fmadd_ps(k[2], _mm_set1_ps(x[2]), prop);
+                prop = _mm_fmadd_ps(k[3], _mm_set1_ps(x[3]), prop);
+                let fp = _mm_mul_ps(fv, _mm_loadu_ps(q.as_ptr()));
+                let mut t = [0.0f32; 4];
+                _mm_storeu_ps(t.as_mut_ptr(), _mm_mul_ps(fp, prop));
+                let state_sum = 0.0 + t[0] + t[1] + t[2] + t[3];
+                *site = w.mul_add(state_sum, *site);
+            }
+        }
+        finish_sites(site_lnl, pattern_weights, cumulative_scale, p0)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -787,10 +1082,28 @@ mod avx2 {
         n_pat_total: usize,
         p0: usize,
     ) -> f64 {
-        let mut total = 0.0f64;
-        for lp in 0..site_lnl.len() {
+        if s == 4 {
+            debug_assert_eq!(sp, 4);
+            return edge4_ps(
+                site_lnl,
+                parent,
+                child,
+                matrix,
+                freqs,
+                cat_weights,
+                pattern_weights,
+                cumulative_scale,
+                n_pat_total,
+                p0,
+            );
+        }
+        // Bounds the raw `dot_ps` reads below.
+        assert!(p0 + site_lnl.len() <= n_pat_total);
+        assert!(child.len() >= cat_weights.len() * n_pat_total * sp);
+        assert!(matrix.len() >= cat_weights.len() * s * sp);
+        for (lp, site) in site_lnl.iter_mut().enumerate() {
             let p = p0 + lp;
-            let mut site = 0.0f32;
+            *site = 0.0;
             for (c, &w) in cat_weights.iter().enumerate() {
                 let base = (c * n_pat_total + p) * sp;
                 let m = matrix.as_ptr().add(c * s * sp);
@@ -800,16 +1113,10 @@ mod avx2 {
                     let prop = dot_ps(m.add(i * sp), cp, sp);
                     state_sum += freqs[i] * parent[base + i] * prop;
                 }
-                site = w.mul_add(state_sum, site);
+                *site = w.mul_add(state_sum, *site);
             }
-            let mut lnl = site.ln();
-            if let Some(cs) = cumulative_scale {
-                lnl += cs[p];
-            }
-            site_lnl[lp] = lnl;
-            total += pattern_weights[p] as f64 * lnl as f64;
         }
-        total
+        finish_sites(site_lnl, pattern_weights, cumulative_scale, p0)
     }
 
     // ---- safe wrappers (table entries) ----
@@ -841,6 +1148,23 @@ mod avx2 {
     ) {
         debug_assert!(super::avx2_available());
         unsafe { sp_pd(d, s1, c2, m1, m2, s, sp) }
+    }
+    pub(super) fn ss_f64(
+        d: &mut [f64],
+        s1: &[u32],
+        s2: &[u32],
+        m1: &[f64],
+        m2: &[f64],
+        s: usize,
+        sp: usize,
+    ) {
+        if s == 4 {
+            debug_assert!(super::avx2_available());
+            debug_assert_eq!(sp, 4);
+            unsafe { ss4_pd(d, s1, s2, m1, m2) }
+        } else {
+            kernels::states_states(d, s1, s2, m1, m2, s, sp)
+        }
     }
     pub(super) fn rescale_max_f64(block: &[f64], maxes: &mut [f64], sp: usize) {
         unsafe { rescale_max_pd(block, maxes, sp) }
@@ -950,6 +1274,23 @@ mod avx2 {
     ) {
         debug_assert!(super::avx2_available());
         unsafe { sp_ps(d, s1, c2, m1, m2, s, sp) }
+    }
+    pub(super) fn ss_f32(
+        d: &mut [f32],
+        s1: &[u32],
+        s2: &[u32],
+        m1: &[f32],
+        m2: &[f32],
+        s: usize,
+        sp: usize,
+    ) {
+        if s == 4 {
+            debug_assert!(super::avx2_available());
+            debug_assert_eq!(sp, 4);
+            unsafe { ss4_ps(d, s1, s2, m1, m2) }
+        } else {
+            kernels::states_states(d, s1, s2, m1, m2, s, sp)
+        }
     }
     pub(super) fn rescale_max_f32(block: &[f32], maxes: &mut [f32], sp: usize) {
         unsafe { rescale_max_ps(block, maxes, sp) }
@@ -1074,9 +1415,7 @@ impl DispatchReal for f64 {
             path: "avx2",
             partials_partials: avx2::pp_f64,
             states_partials: avx2::sp_f64,
-            // states×states is pure matrix lookups — the unrolled portable
-            // kernel is already optimal.
-            states_states: ss_portable::<f64>,
+            states_states: avx2::ss_f64,
             rescale_max: avx2::rescale_max_f64,
             rescale_apply: avx2::rescale_apply_f64,
             integrate_root: avx2::root_f64,
@@ -1099,7 +1438,7 @@ impl DispatchReal for f32 {
             path: "avx2",
             partials_partials: avx2::pp_f32,
             states_partials: avx2::sp_f32,
-            states_states: ss_portable::<f32>,
+            states_states: avx2::ss_f32,
             rescale_max: avx2::rescale_max_f32,
             rescale_apply: avx2::rescale_apply_f32,
             integrate_root: avx2::root_f32,

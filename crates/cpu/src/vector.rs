@@ -10,9 +10,14 @@
 //! AVX2 intrinsic kernels live in [`crate::simd`]; these portable versions
 //! double as the non-x86 / forced-scalar fallback of the dispatch table.
 //!
-//! Like the scalar kernels, every function takes the padded stride `sp >= 4`
-//! (f32 buffers pad nucleotide patterns to 8 lanes): pattern `p` starts at
-//! `p*sp`, matrix row `i` at `i*sp`, and only the first 4 lanes are touched.
+//! The AVX2 nucleotide kernels in [`crate::simd`] replay these kernels'
+//! exact operation sequences, so the portable table is also their
+//! bit-exact reference.
+//!
+//! Like the scalar kernels, every function takes the stride `sp >= 4`:
+//! pattern `p` starts at `p*sp`, matrix row `i` at `i*sp`, and only the
+//! first 4 lanes are touched. CPU instances lay nucleotide buffers out
+//! dense (`sp == 4`) in both precisions; a wider stride works the same.
 
 use beagle_core::real::Real;
 use beagle_core::GAP_STATE;
@@ -204,7 +209,8 @@ mod tests {
         }
     }
 
-    /// Padded f32 layout (4 states in 8-lane stride) matches the dense run.
+    /// A padded stride (4 states in 8 lanes) matches the dense run and
+    /// leaves the pad lanes alone.
     #[test]
     fn padded_stride_matches_dense() {
         let sp = 8;

@@ -4,17 +4,20 @@
 //! the forced-scalar and the vectorized dispatch paths.
 //!
 //! Tolerances: the 4-state AVX2 specializations use the same FMA chain as
-//! the portable kernels, so those pairs are compared bit-for-bit. The wide
-//! (arbitrary state count) AVX2 kernels use a 4-accumulator tree reduction
-//! whose association differs from the scalar left-to-right sum, so they are
+//! the portable kernels, so those pairs are compared bit-for-bit — in f32
+//! every table entry (pp, sp, ss, rescale, root, edge), in f64 the
+//! partials kernels. The wide (arbitrary state count) AVX2 kernels, and
+//! the f64 root and edge kernels, use a 4-accumulator tree reduction whose
+//! association differs from the scalar left-to-right sum, so they are
 //! compared to within a few ulps scaled by the dot length.
 
 use beagle_core::api::{BeagleInstance, BufferId, InstanceConfig, InstanceDetails, ScalingMode};
+use beagle_core::buffers::simd_state_stride;
 use beagle_core::flags::Flags;
 use beagle_core::real::Real;
 use beagle_core::{Operation, GAP_STATE};
 use beagle_cpu::instance::Threading;
-use beagle_cpu::simd::{avx2_available, DispatchKind, DispatchReal};
+use beagle_cpu::simd::{avx2_available, DispatchKind, DispatchReal, KernelDispatch};
 use beagle_cpu::{kernels, CpuInstance};
 use proptest::prelude::*;
 
@@ -102,7 +105,7 @@ fn check_kernels<T: DispatchReal>(
     s1: &[u32],
     s2: &[u32],
 ) {
-    let sp = s.div_ceil(T::SIMD_LANES) * T::SIMD_LANES;
+    let sp = simd_state_stride::<T>(s);
     let n = s1.len();
     let c1 = padded_vec::<T>(c1_raw, s, sp);
     let c2 = padded_vec::<T>(c2_raw, s, sp);
@@ -276,13 +279,16 @@ proptest! {
         check_kernels::<f32>(s, &c1, &c2, &m1, &m2, &s1, &s2);
     }
 
-    /// The AVX2 4-state specializations replay the portable kernels' exact
-    /// FMA chain, so nucleotide partials must match BIT-for-bit.
+    /// The f64 AVX2 4-state partials specializations replay the portable
+    /// kernels' exact FMA chain, so nucleotide partials (and the
+    /// states×partials and states×states lookups) must match BIT-for-bit.
     #[test]
     fn avx2_nucleotide_bit_exact(
         n in 1usize..32,
         seed in proptest::collection::vec(value(false), 32 * 4),
         mseed in proptest::collection::vec(1e-6f64..1.0, 32),
+        s1 in states_strategy(4, 32),
+        s2 in states_strategy(4, 32),
     ) {
         if !avx2_available() {
             return;
@@ -304,11 +310,136 @@ proptest! {
         (avx2.partials_partials)(&mut d_v, &c1, &c2, &m1, &m2, s, sp);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&d_p), bits(&d_v));
+        let (s1, s2) = (&s1[..n], &s2[..n]);
+        (portable.states_partials)(&mut d_p, s1, &c2, &m1, &m2, s, sp);
+        (avx2.states_partials)(&mut d_v, s1, &c2, &m1, &m2, s, sp);
+        prop_assert_eq!(bits(&d_p), bits(&d_v));
+        (portable.states_states)(&mut d_p, s1, s2, &m1, &m2, s, sp);
+        (avx2.states_states)(&mut d_v, s1, s2, &m1, &m2, s, sp);
+        prop_assert_eq!(bits(&d_p), bits(&d_v));
+    }
+
+    /// Every f32 AVX2 table entry at the dense nucleotide stride replays
+    /// the portable kernel's operation sequence: partials, states (with
+    /// gaps), rescaling, and root and edge integration over several
+    /// categories, whole-range and sub-range, must match BIT-for-bit.
+    #[test]
+    fn avx2_f32_nucleotide_stride4_bit_exact(
+        n in 1usize..40,
+        cats in 1usize..4,
+        seed in proptest::collection::vec(value(true), 2 * 3 * 40 * 4),
+        mseed in proptest::collection::vec(1e-6f64..1.0, 2 * 3 * 16),
+        s1 in states_strategy(4, 40),
+        s2 in states_strategy(4, 40),
+        scale in proptest::collection::vec(-5.0f64..0.0, 40),
+    ) {
+        if !avx2_available() {
+            return;
+        }
+        prop_assert_eq!(simd_state_stride::<f32>(4), 4);
+        let narrow = |v: &[f64]| v.iter().map(|&x| x as f32).collect::<Vec<f32>>();
+        let len = cats * n * 4;
+        let inputs = F32Nucleotide {
+            n,
+            c1: narrow(&seed[..len]),
+            c2: narrow(&seed[len..2 * len]),
+            m1: narrow(&mseed[..16 * cats]),
+            m2: narrow(&mseed[16 * cats..32 * cats]),
+            s1: s1[..n].to_vec(),
+            s2: s2[..n].to_vec(),
+            scale: narrow(&scale[..n]),
+        };
+        let portable = <f32 as DispatchReal>::dispatch(DispatchKind::Portable);
+        let avx2 = <f32 as DispatchReal>::dispatch(DispatchKind::Avx2);
+        prop_assert_eq!(avx2.path, "avx2");
+        let expect = inputs.run(portable);
+        let got = inputs.run(avx2);
+        for ((what, e), (_, g)) in expect.iter().zip(&got) {
+            prop_assert_eq!(e, g, "{} differs", what);
+        }
+    }
+}
+
+/// Operands of one f32 nucleotide parity case, stride 4, `cats` category
+/// blocks of `n` patterns.
+struct F32Nucleotide {
+    n: usize,
+    c1: Vec<f32>,
+    c2: Vec<f32>,
+    m1: Vec<f32>,
+    m2: Vec<f32>,
+    s1: Vec<u32>,
+    s2: Vec<u32>,
+    scale: Vec<f32>,
+}
+
+impl F32Nucleotide {
+    /// Every kernel of `table` on these operands, as named bit patterns.
+    /// Destinations start as NaN so a lane a kernel fails to write shows.
+    fn run(&self, t: &KernelDispatch<f32>) -> Vec<(&'static str, Vec<u32>)> {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let wide = |x: f64| vec![x.to_bits() as u32, (x.to_bits() >> 32) as u32];
+        let n = self.n;
+        let cats = self.c1.len() / (4 * n);
+        let blk = 4 * n;
+        let (m1, m2) = (&self.m1[..16], &self.m2[..16]);
+        let mut out = Vec::new();
+        let mut d = vec![f32::NAN; blk];
+        (t.partials_partials)(&mut d, &self.c1[..blk], &self.c2[..blk], m1, m2, 4, 4);
+        out.push(("pp", bits(&d)));
+        d.fill(f32::NAN);
+        (t.states_partials)(&mut d, &self.s1, &self.c2[..blk], m1, m2, 4, 4);
+        out.push(("sp", bits(&d)));
+        d.fill(f32::NAN);
+        (t.states_states)(&mut d, &self.s1, &self.s2, m1, m2, 4, 4);
+        out.push(("ss", bits(&d)));
+
+        // Rescale every category block of c1, as an operation does.
+        let mut buf = self.c1.clone();
+        let mut maxes = vec![0.0f32; n];
+        for block in buf.chunks_exact(blk) {
+            (t.rescale_max)(block, &mut maxes, 4);
+        }
+        for block in buf.chunks_exact_mut(blk) {
+            (t.rescale_apply)(block, &maxes, 4);
+        }
+        out.push(("rescale_max", bits(&maxes)));
+        out.push(("rescale_apply", bits(&buf)));
+
+        let freqs = [0.1f32, 0.2, 0.3, 0.4];
+        let catw: Vec<f32> = (0..cats).map(|c| (c + 1) as f32 / 10.0).collect();
+        let pw: Vec<f32> = (0..n).map(|p| 1.0 + p as f32).collect();
+        for (cumulative, p0) in [(None, 0), (Some(&self.scale[..]), 0), (None, n / 2)] {
+            let mut site = vec![f32::NAN; n - p0];
+            let total = (t.integrate_root)(
+                &mut site, &self.c1, &freqs, &catw, &pw, cumulative, 4, 4, n, p0,
+            );
+            out.push(("root sites", bits(&site)));
+            out.push(("root total", wide(total)));
+            site.fill(f32::NAN);
+            let total = (t.integrate_edge)(
+                &mut site,
+                &self.c1,
+                kernels::EdgeChild::Partials(&self.c2),
+                &self.m1,
+                &freqs,
+                &catw,
+                &pw,
+                cumulative,
+                4,
+                4,
+                n,
+                p0,
+            );
+            out.push(("edge sites", bits(&site)));
+            out.push(("edge total", wide(total)));
+        }
+        out
     }
 }
 
 /// Drive a complete scaled likelihood computation on one dispatch path.
-fn full_likelihood(kind: DispatchKind, s: usize) -> (f64, Vec<f64>) {
+fn full_likelihood<T: DispatchReal>(kind: DispatchKind, s: usize) -> (f64, Vec<f64>) {
     let taxa = 5;
     let n_pat = 19;
     let cats = 2;
@@ -320,7 +451,7 @@ fn full_likelihood(kind: DispatchKind, s: usize) -> (f64, Vec<f64>) {
         thread_count: 1,
     };
     let mut inst =
-        CpuInstance::<f64>::with_dispatch_kind(config, Threading::Serial, kind, details).unwrap();
+        CpuInstance::<T>::with_dispatch_kind(config, Threading::Serial, kind, details).unwrap();
 
     let freqs: Vec<f64> = (0..s).map(|i| (i + 1) as f64).collect();
     let total: f64 = freqs.iter().sum();
@@ -378,9 +509,9 @@ fn full_likelihood(kind: DispatchKind, s: usize) -> (f64, Vec<f64>) {
 #[test]
 fn full_run_differential_across_paths() {
     for s in [4, 61] {
-        let (lnl_scalar, site_scalar) = full_likelihood(DispatchKind::Scalar, s);
+        let (lnl_scalar, site_scalar) = full_likelihood::<f64>(DispatchKind::Scalar, s);
         for kind in paths() {
-            let (lnl, site) = full_likelihood(kind, s);
+            let (lnl, site) = full_likelihood::<f64>(kind, s);
             assert!(
                 (lnl - lnl_scalar).abs() <= 1e-9 * lnl_scalar.abs().max(1.0),
                 "s={s} {kind:?}: {lnl} vs scalar {lnl_scalar}"
@@ -393,6 +524,21 @@ fn full_run_differential_across_paths() {
             }
         }
     }
+}
+
+/// A whole scaled f32 nucleotide run — partials of every operand kind,
+/// rescaling, accumulation and root integration — is bit-identical between
+/// the portable and the AVX2 tables.
+#[test]
+fn f32_nucleotide_full_run_bit_exact_across_vector_paths() {
+    if !avx2_available() {
+        return;
+    }
+    let (lnl_p, site_p) = full_likelihood::<f32>(DispatchKind::Portable, 4);
+    let (lnl_v, site_v) = full_likelihood::<f32>(DispatchKind::Avx2, 4);
+    assert_eq!(lnl_p.to_bits(), lnl_v.to_bits(), "{lnl_p} vs {lnl_v}");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&site_p), bits(&site_v));
 }
 
 /// The portable path must be available unconditionally and the instance

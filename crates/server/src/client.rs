@@ -98,10 +98,7 @@ impl Client {
     /// Evaluate a session remotely. Bit-identical to evaluating the same
     /// session on a local pool of the same implementation.
     pub fn evaluate(&mut self, session: &SessionRequest, lane: Lane) -> Result<f64, ClientError> {
-        let reply = self.roundtrip(&Frame::Submit {
-            lane,
-            session: Box::new(session.clone()),
-        })?;
+        let reply = self.roundtrip(|w, sid| wire::write_submit(w, sid, lane, session))?;
         match reply {
             Frame::Result(lnl) => Ok(lnl),
             Frame::Busy(reason) => Err(ClientError::Busy(reason)),
@@ -139,7 +136,7 @@ impl Client {
     /// scheduler stats including rejections, kernel statistics, breaker
     /// states).
     pub fn stats(&mut self) -> Result<String, ClientError> {
-        match self.roundtrip(&Frame::StatsRequest)? {
+        match self.roundtrip(|w, sid| wire::write_frame(w, sid, &Frame::StatsRequest))? {
             Frame::Stats(json) => Ok(json),
             _ => Err(ClientError::Protocol("unexpected reply to StatsRequest")),
         }
@@ -149,7 +146,7 @@ impl Client {
     /// and closes every connection. Returns whether the drain completed
     /// fully.
     pub fn drain(&mut self) -> Result<bool, ClientError> {
-        match self.roundtrip(&Frame::Drain)? {
+        match self.roundtrip(|w, sid| wire::write_frame(w, sid, &Frame::Drain))? {
             Frame::DrainAck { drained } => Ok(drained),
             _ => Err(ClientError::Protocol("unexpected reply to Drain")),
         }
@@ -204,7 +201,13 @@ impl Client {
         }
     }
 
-    fn roundtrip(&mut self, frame: &Frame) -> Result<Frame, ClientError> {
+    /// Send one request — `write` puts its frame on the stream under the
+    /// given session id — and read the matching reply, reconnecting and
+    /// re-sending on transport failure.
+    fn roundtrip(
+        &mut self,
+        write: impl Fn(&mut Stream, u64) -> Result<(), WireError>,
+    ) -> Result<Frame, ClientError> {
         let sid = self.next_session;
         self.next_session += 1;
         let mut last: Option<ClientError> = None;
@@ -213,7 +216,7 @@ impl Client {
                 let delay = self.backoff(attempt);
                 std::thread::sleep(delay);
             }
-            match self.try_roundtrip(sid, frame) {
+            match self.try_roundtrip(sid, &write) {
                 Ok(reply) => return Ok(reply),
                 Err(e) if e.is_transient() => {
                     // Drop the broken stream; the next attempt reconnects
@@ -227,10 +230,14 @@ impl Client {
         Err(last.unwrap_or(ClientError::Protocol("retries exhausted")))
     }
 
-    fn try_roundtrip(&mut self, sid: u64, frame: &Frame) -> Result<Frame, ClientError> {
+    fn try_roundtrip(
+        &mut self,
+        sid: u64,
+        write: &impl Fn(&mut Stream, u64) -> Result<(), WireError>,
+    ) -> Result<Frame, ClientError> {
         self.ensure_connected()?;
         let stream = self.stream.as_mut().expect("just connected");
-        wire::write_frame(stream, sid, frame).map_err(ClientError::from_wire)?;
+        write(stream, sid).map_err(ClientError::from_wire)?;
         let (reply_sid, reply) = wire::read_frame(stream).map_err(ClientError::from_wire)?;
         if reply_sid != sid {
             // One in flight + a fresh stream per attempt: a mismatch can

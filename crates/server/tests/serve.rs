@@ -12,7 +12,8 @@ use std::time::Duration;
 use beagle_accel::{catalog, FaultDirectory, FaultKind, FaultPlan, Schedule};
 use beagle_core::wire::{self, BusyReason, Frame};
 use beagle_core::{
-    BufferId, Deadline, Flags, ImplementationManager, InstanceSpec, Lane, SessionRequest,
+    BreakerConfig, BufferId, Deadline, Flags, ImplementationManager, InstanceSpec, Lane,
+    SessionRequest,
 };
 use beagle_server::{Client, ClientError, Endpoint, Server, ServerBuilder};
 use genomictest::{full_manager, full_manager_with_faults, ModelKind, Problem, Scenario};
@@ -182,6 +183,13 @@ fn remote_sessions_survive_mid_session_worker_eviction_bit_identically() {
         FaultPlan::new(7).with_fault(FaultKind::DeviceLost, false, Schedule::AtCall(40)),
     );
     let manager = full_manager_with_faults(&faults);
+    // Keep the tripped breaker open for the whole test: with the default
+    // 100 ms cooldown a slow run lets it settle to half-open before the
+    // final assertion reads it.
+    manager.set_breaker_config(BreakerConfig {
+        cooldown: Duration::from_secs(3600),
+        ..BreakerConfig::default()
+    });
     let server = ServerBuilder::from_spec(base_spec())
         .workers(2)
         .pin([RADEON, "CPU-serial"])

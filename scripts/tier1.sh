@@ -45,6 +45,11 @@
 #                             rejections audited, per-request deadlines
 #                             reaching the watchdog, wire-decoder fuzzing
 #   tests/remote (mcmc) ..... MC3 over the wire bit-identical to local
+#   perfbench tests ......... the benchmark's own package: tiny seeded runs
+#                             of every workload with local-vs-remote bit
+#                             identity and oracle checks, so a kernel or
+#                             layout change that breaks the benchmark fails
+#                             here before the benchmark runs
 #   tests/robustness ........ deadline watchdog cancelling hangs/stalls
 #                             (bit-exact failover vs a fault-free survivor
 #                             run), circuit breakers steering creation and
@@ -73,6 +78,9 @@ cargo test -q --test incremental
 cargo test -q -p genomictest --test pool
 cargo test -q -p beagle-server --test serve
 cargo test -q -p beagle-mcmc --test remote
+# The benchmark is a separate package (its own workspace under perfbench/),
+# so `--workspace` above does not reach its tests.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 # Likelihood-service loopback smoke: start a server on an ephemeral port,
 # round-trip sessions through a real socket, bit-compare against a local
 # instance, then drain. Exercises the full WIRE-v1 stack end to end.
