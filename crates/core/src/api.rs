@@ -7,6 +7,7 @@
 //! root/edge log-likelihood integrations. The library deliberately has no
 //! tree type; clients drive it with flat, flexibly indexed operation lists.
 
+use crate::call::Call;
 use crate::error::{BeagleError, Result};
 use crate::flags::Flags;
 use crate::obs;
@@ -178,6 +179,18 @@ pub struct InstanceDetails {
 /// against it by the compile-time audit in `tests/send_sync.rs`; an
 /// implementation needing interior mutability must use a lock, not
 /// `RefCell`/`Cell`.
+///
+/// # Back-ends and wrappers
+///
+/// A back-end implements every method it computes. A wrapper — a layer that
+/// owns one inner instance — implements [`Self::inner`] /
+/// [`Self::inner_mut`] and overrides [`Self::call`], the one hook every
+/// mutating method's default passes its [`Call`] to; every other method
+/// defaults to forwarding to the inner instance, so a wrapper writes only
+/// the methods it really changes. `details` and `config` stay required:
+/// wrappers rewrite them (the queue advertises asynchronous execution, the
+/// partitioned instance aggregates its children), and a forgotten one would
+/// silently describe the wrong instance.
 pub trait BeagleInstance: Send + Sync {
     /// Implementation and resource description.
     fn details(&self) -> &InstanceDetails;
@@ -185,31 +198,92 @@ pub trait BeagleInstance: Send + Sync {
     /// Instance sizing.
     fn config(&self) -> &InstanceConfig;
 
+    /// The wrapped instance, for layers that own exactly one. `None` (the
+    /// default) for back-ends, and for wrappers whose inner instance cannot
+    /// be borrowed from `&self` (the operation queue keeps it behind a
+    /// lock).
+    fn inner(&self) -> Option<&dyn BeagleInstance> {
+        None
+    }
+
+    /// Mutable access to the wrapped instance; see [`Self::inner`].
+    fn inner_mut(&mut self) -> Option<&mut dyn BeagleInstance> {
+        None
+    }
+
+    /// This layer's own kernel counters and event journal, merged into
+    /// [`Self::statistics`] / [`Self::take_journal`] by their defaults.
+    fn recorder(&self) -> Option<&obs::Recorder> {
+        None
+    }
+
+    /// Mutable access to this layer's recorder; see [`Self::recorder`].
+    fn recorder_mut(&mut self) -> Option<&mut obs::Recorder> {
+        None
+    }
+
+    /// Run one mutating call. Every mutating method's default builds its
+    /// [`Call`] and lands here, so this is the single hook a wrapper
+    /// overrides to intercept, defer or journal the call stream. The
+    /// default applies the call to [`Self::inner_mut`]; without an inner
+    /// instance it replays [`Call::UpdatePartialsByLevels`] level by level
+    /// through [`Self::update_partials`] and reports anything else as
+    /// [`BeagleError::Unsupported`].
+    fn call(&mut self, call: Call<'_>) -> Result<()> {
+        if let Some(inner) = self.inner_mut() {
+            return call.apply(inner);
+        }
+        match call {
+            Call::UpdatePartialsByLevels(levels) => levels
+                .iter()
+                .try_for_each(|level| self.update_partials(level)),
+            other => Err(other.unsupported(self.details())),
+        }
+    }
+
     /// Set compact tip states for tip `tip`; `states[p]` is the observed
     /// state at pattern `p`, or [`crate::GAP_STATE`] for missing data.
-    fn set_tip_states(&mut self, tip: usize, states: &[u32]) -> Result<()>;
+    fn set_tip_states(&mut self, tip: usize, states: &[u32]) -> Result<()> {
+        self.call(Call::SetTipStates(tip, states.into()))
+    }
 
     /// Set full partials for a tip (for ambiguous tip data):
     /// `patterns × states`, replicated internally across categories.
-    fn set_tip_partials(&mut self, tip: usize, partials: &[f64]) -> Result<()>;
+    fn set_tip_partials(&mut self, tip: usize, partials: &[f64]) -> Result<()> {
+        self.call(Call::SetTipPartials(tip, partials.into()))
+    }
 
     /// Set a full partials buffer (`categories × patterns × states`).
-    fn set_partials(&mut self, buffer: usize, partials: &[f64]) -> Result<()>;
+    fn set_partials(&mut self, buffer: usize, partials: &[f64]) -> Result<()> {
+        self.call(Call::SetPartials(buffer, partials.into()))
+    }
 
     /// Read back a partials buffer (`categories × patterns × states`).
-    fn get_partials(&self, buffer: usize) -> Result<Vec<f64>>;
+    fn get_partials(&self, buffer: usize) -> Result<Vec<f64>> {
+        self.inner()
+            .ok_or_else(|| unsupported("get_partials", self.details()))?
+            .get_partials(buffer)
+    }
 
     /// Set pattern weights (column multiplicities), length `pattern_count`.
-    fn set_pattern_weights(&mut self, weights: &[f64]) -> Result<()>;
+    fn set_pattern_weights(&mut self, weights: &[f64]) -> Result<()> {
+        self.call(Call::SetPatternWeights(weights.into()))
+    }
 
     /// Set state frequencies buffer `index` (length `state_count`).
-    fn set_state_frequencies(&mut self, index: usize, frequencies: &[f64]) -> Result<()>;
+    fn set_state_frequencies(&mut self, index: usize, frequencies: &[f64]) -> Result<()> {
+        self.call(Call::SetStateFrequencies(index, frequencies.into()))
+    }
 
     /// Set the category rate multipliers (length `category_count`).
-    fn set_category_rates(&mut self, rates: &[f64]) -> Result<()>;
+    fn set_category_rates(&mut self, rates: &[f64]) -> Result<()> {
+        self.call(Call::SetCategoryRates(rates.into()))
+    }
 
     /// Set category weights buffer `index` (length `category_count`).
-    fn set_category_weights(&mut self, index: usize, weights: &[f64]) -> Result<()>;
+    fn set_category_weights(&mut self, index: usize, weights: &[f64]) -> Result<()> {
+        self.call(Call::SetCategoryWeights(index, weights.into()))
+    }
 
     /// Load an eigen system: row-major `vectors` (s×s), `inverse_vectors`
     /// (s×s), and `values` (s eigenvalues).
@@ -219,7 +293,14 @@ pub trait BeagleInstance: Send + Sync {
         vectors: &[f64],
         inverse_vectors: &[f64],
         values: &[f64],
-    ) -> Result<()>;
+    ) -> Result<()> {
+        self.call(Call::SetEigenDecomposition(
+            index,
+            vectors.into(),
+            inverse_vectors.into(),
+            values.into(),
+        ))
+    }
 
     /// Compute `P(rate_c · t)` for each listed matrix buffer and branch
     /// length from eigen buffer `eigen_index` — the paper's "branch
@@ -229,7 +310,13 @@ pub trait BeagleInstance: Send + Sync {
         eigen_index: usize,
         matrix_indices: &[usize],
         branch_lengths: &[f64],
-    ) -> Result<()>;
+    ) -> Result<()> {
+        self.call(Call::UpdateTransitionMatrices(
+            eigen_index,
+            matrix_indices.into(),
+            branch_lengths.into(),
+        ))
+    }
 
     /// Compute `P(rate_c · t)` together with first and second derivatives
     /// with respect to the branch length, written to three matrix buffers
@@ -238,16 +325,19 @@ pub trait BeagleInstance: Send + Sync {
     /// derivative kernels return [`crate::BeagleError::Unsupported`].
     fn update_transition_derivatives(
         &mut self,
-        _eigen_index: usize,
-        _matrix_indices: &[usize],
-        _d1_indices: &[usize],
-        _d2_indices: &[usize],
-        _branch_lengths: &[f64],
+        eigen_index: usize,
+        matrix_indices: &[usize],
+        d1_indices: &[usize],
+        d2_indices: &[usize],
+        branch_lengths: &[f64],
     ) -> Result<()> {
-        Err(crate::error::BeagleError::Unsupported(format!(
-            "transition-matrix derivatives on {}",
-            self.details().implementation_name
-        )))
+        self.call(Call::UpdateTransitionDerivatives(
+            eigen_index,
+            matrix_indices.into(),
+            d1_indices.into(),
+            d2_indices.into(),
+            branch_lengths.into(),
+        ))
     }
 
     /// Edge log-likelihood together with its first and second derivatives
@@ -257,55 +347,77 @@ pub trait BeagleInstance: Send + Sync {
     #[allow(clippy::too_many_arguments)]
     fn integrate_edge_derivatives(
         &mut self,
-        _parent: BufferId,
-        _child: BufferId,
-        _matrix: BufferId,
-        _d1_matrix: BufferId,
-        _d2_matrix: BufferId,
-        _category_weights: BufferId,
-        _frequencies: BufferId,
-        _scaling: ScalingMode,
+        parent: BufferId,
+        child: BufferId,
+        matrix: BufferId,
+        d1_matrix: BufferId,
+        d2_matrix: BufferId,
+        category_weights: BufferId,
+        frequencies: BufferId,
+        scaling: ScalingMode,
     ) -> Result<(f64, f64, f64)> {
-        Err(crate::error::BeagleError::Unsupported(format!(
-            "edge derivatives on {}",
-            self.details().implementation_name
-        )))
+        match self.inner_mut() {
+            Some(inner) => inner.integrate_edge_derivatives(
+                parent,
+                child,
+                matrix,
+                d1_matrix,
+                d2_matrix,
+                category_weights,
+                frequencies,
+                scaling,
+            ),
+            None => Err(unsupported("edge derivatives", self.details())),
+        }
     }
 
     /// Directly set a transition matrix (`categories × states × states`,
     /// row-major `P[i][j] = P(i→j)` per category).
-    fn set_transition_matrix(&mut self, index: usize, matrix: &[f64]) -> Result<()>;
+    fn set_transition_matrix(&mut self, index: usize, matrix: &[f64]) -> Result<()> {
+        self.call(Call::SetTransitionMatrix(index, matrix.into()))
+    }
 
     /// Read back a transition matrix.
-    fn get_transition_matrix(&self, index: usize) -> Result<Vec<f64>>;
+    fn get_transition_matrix(&self, index: usize) -> Result<Vec<f64>> {
+        self.inner()
+            .ok_or_else(|| unsupported("get_transition_matrix", self.details()))?
+            .get_transition_matrix(index)
+    }
 
     /// Run a dependency-ordered list of partial-likelihood operations — the
     /// computational bottleneck this library exists to accelerate.
-    fn update_partials(&mut self, operations: &[Operation]) -> Result<()>;
+    fn update_partials(&mut self, operations: &[Operation]) -> Result<()> {
+        self.call(Call::UpdatePartials(operations.into()))
+    }
 
     /// Run pre-scheduled dependency levels of operations: all operations in
     /// one level are mutually independent and each level only reads buffers
     /// produced by earlier levels (the output of
     /// [`crate::ops::dependency_levels`]). Back-ends override this to submit
     /// each level as one batch — a single stream submission on accelerators,
-    /// a single pool dispatch on threaded CPUs. The default just replays the
-    /// levels in order, which is always correct.
+    /// a single pool dispatch on threaded CPUs. The default (through
+    /// [`Self::call`]) just replays the levels in order on a back-end, which
+    /// is always correct.
     fn update_partials_by_levels(&mut self, levels: &[Vec<Operation>]) -> Result<()> {
-        for level in levels {
-            self.update_partials(level)?;
-        }
-        Ok(())
+        self.call(Call::UpdatePartialsByLevels(levels.into()))
     }
 
     /// Zero cumulative scale buffer `cumulative`.
-    fn reset_scale_factors(&mut self, cumulative: usize) -> Result<()>;
+    fn reset_scale_factors(&mut self, cumulative: usize) -> Result<()> {
+        self.call(Call::ResetScaleFactors(cumulative))
+    }
 
     /// Add the log scale factors of each listed buffer into `cumulative`.
     fn accumulate_scale_factors(
         &mut self,
         scale_indices: &[usize],
         cumulative: usize,
-    ) -> Result<()>;
+    ) -> Result<()> {
+        self.call(Call::AccumulateScaleFactors(
+            scale_indices.into(),
+            cumulative,
+        ))
+    }
 
     /// Integrate root partials against state frequencies, category weights
     /// and pattern weights; returns the total log-likelihood. With
@@ -317,7 +429,12 @@ pub trait BeagleInstance: Send + Sync {
         category_weights: BufferId,
         frequencies: BufferId,
         scaling: ScalingMode,
-    ) -> Result<f64>;
+    ) -> Result<f64> {
+        match self.inner_mut() {
+            Some(inner) => inner.integrate_root(root, category_weights, frequencies, scaling),
+            None => Err(unsupported("integrate_root", self.details())),
+        }
+    }
 
     /// Likelihood integrated at an edge: parent partials combined with
     /// child partials propagated through `matrix`. Used by programs that
@@ -330,14 +447,31 @@ pub trait BeagleInstance: Send + Sync {
         category_weights: BufferId,
         frequencies: BufferId,
         scaling: ScalingMode,
-    ) -> Result<f64>;
+    ) -> Result<f64> {
+        match self.inner_mut() {
+            Some(inner) => inner.integrate_edge(
+                parent,
+                child,
+                matrix,
+                category_weights,
+                frequencies,
+                scaling,
+            ),
+            None => Err(unsupported("integrate_edge", self.details())),
+        }
+    }
 
     /// Per-pattern site log-likelihoods from the most recent root/edge call.
-    fn get_site_log_likelihoods(&self) -> Result<Vec<f64>>;
+    fn get_site_log_likelihoods(&self) -> Result<Vec<f64>> {
+        self.inner()
+            .ok_or_else(|| unsupported("get_site_log_likelihoods", self.details()))?
+            .get_site_log_likelihoods()
+    }
 
     /// Block until asynchronous device work is done (no-op on CPU).
     fn wait_for_computation(&mut self) -> Result<()> {
-        Ok(())
+        self.inner_mut()
+            .map_or(Ok(()), |inner| inner.wait_for_computation())
     }
 
     /// For simulated accelerator back-ends: total modeled device time since
@@ -345,11 +479,15 @@ pub trait BeagleInstance: Send + Sync {
     /// back-ends measured with the wall clock (all CPU implementations and
     /// the OpenCL-x86 device).
     fn simulated_time(&self) -> Option<std::time::Duration> {
-        None
+        self.inner()?.simulated_time()
     }
 
     /// Reset the simulated device clock (no-op for wall-clock back-ends).
-    fn reset_simulated_time(&mut self) {}
+    fn reset_simulated_time(&mut self) {
+        if let Some(inner) = self.inner_mut() {
+            inner.reset_simulated_time();
+        }
+    }
 
     /// Read the simulated clock **without side effects**. For most
     /// back-ends this is [`Self::simulated_time`]; deferred-execution
@@ -359,30 +497,43 @@ pub trait BeagleInstance: Send + Sync {
     /// without perturbing its execution mode (see
     /// [`crate::multi::PartitionedInstance`]).
     fn peek_simulated_time(&self) -> Option<std::time::Duration> {
-        self.simulated_time()
+        match self.inner() {
+            Some(inner) => inner.peek_simulated_time(),
+            None => self.simulated_time(),
+        }
     }
 
     /// Operation-queue and eigen-cache counters, when this instance (or one
     /// it wraps) defers execution through a [`crate::queue::QueuedInstance`].
     /// `None` for eager instances.
     fn queue_stats(&self) -> Option<crate::queue::QueueStats> {
-        None
+        self.inner()?.queue_stats()
     }
 
     /// Per-kernel timing/counter statistics (see [`crate::obs`]). `None`
     /// unless the instance was created with [`Flags::INSTANCE_STATS`] (or
     /// `InstanceSpec::with_stats`), or when built with the `obs-disabled`
-    /// feature. Wrapper instances (queue, rescue, partitioned) merge their
-    /// own counters with the wrapped instance's.
+    /// feature. Wrapper instances merge their own counters
+    /// ([`Self::recorder`]) with the wrapped instance's.
     fn statistics(&self) -> Option<obs::InstanceStats> {
-        None
+        let mut stats = self.inner()?.statistics()?;
+        if let Some(own) = self.recorder().and_then(obs::Recorder::stats) {
+            stats.merge(&own);
+        }
+        Some(stats)
     }
 
     /// Drain this instance's event journal (oldest first; see
     /// [`crate::obs::Event`]). Empty unless statistics are enabled. Wrapper
     /// instances merge the journals of every layer into sequence order.
     fn take_journal(&mut self) -> Vec<obs::Event> {
-        Vec::new()
+        let below = self
+            .inner_mut()
+            .map_or_else(Vec::new, |inner| inner.take_journal());
+        let own = self
+            .recorder_mut()
+            .map_or_else(Vec::new, obs::Recorder::take_journal);
+        obs::merge_journals(below, own)
     }
 
     /// Set (or clear) the per-launch watchdog budget. Back-ends with a
@@ -392,7 +543,11 @@ pub trait BeagleInstance: Send + Sync {
     /// instances forward the deadline to every layer below; back-ends
     /// without stall modes (the CPU implementations) ignore it, which this
     /// default implements.
-    fn set_deadline(&mut self, _deadline: Option<crate::deadline::Deadline>) {}
+    fn set_deadline(&mut self, deadline: Option<crate::deadline::Deadline>) {
+        if let Some(inner) = self.inner_mut() {
+            inner.set_deadline(deadline);
+        }
+    }
 
     /// Snapshot this instance's replayable state as a durable
     /// [`crate::checkpoint::Checkpoint`]. `None` unless a journaling layer
@@ -401,7 +556,7 @@ pub trait BeagleInstance: Send + Sync {
     /// forward the call down (the operation queue flushes first, so pending
     /// work is captured rather than lost).
     fn checkpoint(&mut self) -> Option<crate::checkpoint::Checkpoint> {
-        None
+        self.inner_mut()?.checkpoint()
     }
 
     /// Enable or disable incremental re-computation (operation memoization,
@@ -411,15 +566,25 @@ pub trait BeagleInstance: Send + Sync {
     /// layer below; instances without a memo layer ignore it, which this
     /// default implements. Throughput harnesses that time repeated identical
     /// traversals call `set_incremental(false)` so they measure real kernels.
-    fn set_incremental(&mut self, _enabled: bool) {}
+    fn set_incremental(&mut self, enabled: bool) {
+        if let Some(inner) = self.inner_mut() {
+            inner.set_incremental(enabled);
+        }
+    }
 
     /// Skip/hit counters from the incremental memoization layer, when one is
     /// installed below this instance (see [`crate::memo::MemoStats`]).
     /// `None` otherwise. Like [`Self::peek_simulated_time`], deferred
     /// wrappers forward this without flushing pending work.
     fn memo_stats(&self) -> Option<crate::memo::MemoStats> {
-        None
+        self.inner()?.memo_stats()
     }
+}
+
+/// The error an instance reports for a method it neither computes nor
+/// forwards to an inner instance.
+pub(crate) fn unsupported(what: &str, on: &InstanceDetails) -> BeagleError {
+    BeagleError::Unsupported(format!("{what} on {}", on.implementation_name))
 }
 
 #[cfg(test)]

@@ -55,13 +55,13 @@
 
 use std::path::Path;
 
-use crate::api::{BeagleInstance, BufferId, InstanceConfig, InstanceDetails, ScalingMode};
+use crate::api::{BeagleInstance, InstanceConfig, InstanceDetails};
+use crate::call::Call;
 use crate::error::{BeagleError, Result};
 use crate::flags::Flags;
 use crate::journal::StateJournal;
 use crate::manager::ImplementationManager;
-use crate::obs::{self, EventKind, Recorder};
-use crate::ops::Operation;
+use crate::obs::{EventKind, Recorder};
 use crate::spec::InstanceSpec;
 
 /// Magic + version line opening every snapshot.
@@ -312,8 +312,10 @@ impl Checkpoint {
 
 /// The journaling wrapper behind [`crate::InstanceSpec::checkpointed`]:
 /// records every mutating call in a [`StateJournal`] and snapshots it (with
-/// sizing and provenance) on [`BeagleInstance::checkpoint`]. All calls are
-/// forwarded unchanged, so wrapping is semantically invisible.
+/// sizing and provenance) on [`BeagleInstance::checkpoint`]. Its
+/// [`BeagleInstance::call`] hook records each call before forwarding it
+/// unchanged, and every read forwards by default, so wrapping is
+/// semantically invisible.
 pub struct CheckpointedInstance {
     inner: Box<dyn BeagleInstance>,
     config: InstanceConfig,
@@ -365,221 +367,25 @@ impl BeagleInstance for CheckpointedInstance {
         self.inner.config()
     }
 
-    fn set_tip_states(&mut self, tip: usize, states: &[u32]) -> Result<()> {
-        self.journal.record_tip_states(tip, states);
-        self.inner.set_tip_states(tip, states)
+    fn inner(&self) -> Option<&dyn BeagleInstance> {
+        Some(self.inner.as_ref())
     }
 
-    fn set_tip_partials(&mut self, tip: usize, partials: &[f64]) -> Result<()> {
-        self.journal.record_tip_partials(tip, partials);
-        self.inner.set_tip_partials(tip, partials)
+    fn inner_mut(&mut self) -> Option<&mut dyn BeagleInstance> {
+        Some(self.inner.as_mut())
     }
 
-    fn set_partials(&mut self, buffer: usize, partials: &[f64]) -> Result<()> {
-        self.journal.record_partials(buffer, partials);
-        self.inner.set_partials(buffer, partials)
+    fn recorder(&self) -> Option<&Recorder> {
+        Some(&self.recorder)
     }
 
-    fn get_partials(&self, buffer: usize) -> Result<Vec<f64>> {
-        self.inner.get_partials(buffer)
+    fn recorder_mut(&mut self) -> Option<&mut Recorder> {
+        Some(&mut self.recorder)
     }
 
-    fn set_pattern_weights(&mut self, weights: &[f64]) -> Result<()> {
-        self.journal.record_pattern_weights(weights);
-        self.inner.set_pattern_weights(weights)
-    }
-
-    fn set_state_frequencies(&mut self, index: usize, frequencies: &[f64]) -> Result<()> {
-        self.journal.record_frequencies(index, frequencies);
-        self.inner.set_state_frequencies(index, frequencies)
-    }
-
-    fn set_category_rates(&mut self, rates: &[f64]) -> Result<()> {
-        self.journal.record_category_rates(rates);
-        self.inner.set_category_rates(rates)
-    }
-
-    fn set_category_weights(&mut self, index: usize, weights: &[f64]) -> Result<()> {
-        self.journal.record_category_weights(index, weights);
-        self.inner.set_category_weights(index, weights)
-    }
-
-    fn set_eigen_decomposition(
-        &mut self,
-        index: usize,
-        vectors: &[f64],
-        inverse_vectors: &[f64],
-        values: &[f64],
-    ) -> Result<()> {
-        self.journal
-            .record_eigen(index, vectors, inverse_vectors, values);
-        self.inner
-            .set_eigen_decomposition(index, vectors, inverse_vectors, values)
-    }
-
-    fn update_transition_matrices(
-        &mut self,
-        eigen_index: usize,
-        matrix_indices: &[usize],
-        branch_lengths: &[f64],
-    ) -> Result<()> {
-        self.journal
-            .record_matrix_updates(eigen_index, matrix_indices, branch_lengths);
-        self.inner
-            .update_transition_matrices(eigen_index, matrix_indices, branch_lengths)
-    }
-
-    fn update_transition_derivatives(
-        &mut self,
-        eigen_index: usize,
-        matrix_indices: &[usize],
-        d1_indices: &[usize],
-        d2_indices: &[usize],
-        branch_lengths: &[f64],
-    ) -> Result<()> {
-        // Derivative matrices are scratch outputs for branch optimization;
-        // the primary matrices are journaled above, which is what replay
-        // needs.
-        self.journal
-            .record_matrix_updates(eigen_index, matrix_indices, branch_lengths);
-        self.inner.update_transition_derivatives(
-            eigen_index,
-            matrix_indices,
-            d1_indices,
-            d2_indices,
-            branch_lengths,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn integrate_edge_derivatives(
-        &mut self,
-        parent: BufferId,
-        child: BufferId,
-        matrix: BufferId,
-        d1_matrix: BufferId,
-        d2_matrix: BufferId,
-        category_weights: BufferId,
-        frequencies: BufferId,
-        scaling: ScalingMode,
-    ) -> Result<(f64, f64, f64)> {
-        self.inner.integrate_edge_derivatives(
-            parent,
-            child,
-            matrix,
-            d1_matrix,
-            d2_matrix,
-            category_weights,
-            frequencies,
-            scaling,
-        )
-    }
-
-    fn set_transition_matrix(&mut self, index: usize, matrix: &[f64]) -> Result<()> {
-        self.journal.record_matrix(index, matrix);
-        self.inner.set_transition_matrix(index, matrix)
-    }
-
-    fn get_transition_matrix(&self, index: usize) -> Result<Vec<f64>> {
-        self.inner.get_transition_matrix(index)
-    }
-
-    fn update_partials(&mut self, operations: &[Operation]) -> Result<()> {
-        self.journal.record_operations(operations);
-        self.inner.update_partials(operations)
-    }
-
-    fn update_partials_by_levels(&mut self, levels: &[Vec<Operation>]) -> Result<()> {
-        for level in levels {
-            self.journal.record_operations(level);
-        }
-        self.inner.update_partials_by_levels(levels)
-    }
-
-    fn reset_scale_factors(&mut self, cumulative: usize) -> Result<()> {
-        self.journal.record_scale_reset(cumulative);
-        self.inner.reset_scale_factors(cumulative)
-    }
-
-    fn accumulate_scale_factors(
-        &mut self,
-        scale_indices: &[usize],
-        cumulative: usize,
-    ) -> Result<()> {
-        self.journal
-            .record_scale_accumulation(scale_indices, cumulative);
-        self.inner
-            .accumulate_scale_factors(scale_indices, cumulative)
-    }
-
-    fn integrate_root(
-        &mut self,
-        root: BufferId,
-        category_weights: BufferId,
-        frequencies: BufferId,
-        scaling: ScalingMode,
-    ) -> Result<f64> {
-        self.inner
-            .integrate_root(root, category_weights, frequencies, scaling)
-    }
-
-    fn integrate_edge(
-        &mut self,
-        parent: BufferId,
-        child: BufferId,
-        matrix: BufferId,
-        category_weights: BufferId,
-        frequencies: BufferId,
-        scaling: ScalingMode,
-    ) -> Result<f64> {
-        self.inner.integrate_edge(
-            parent,
-            child,
-            matrix,
-            category_weights,
-            frequencies,
-            scaling,
-        )
-    }
-
-    fn get_site_log_likelihoods(&self) -> Result<Vec<f64>> {
-        self.inner.get_site_log_likelihoods()
-    }
-
-    fn wait_for_computation(&mut self) -> Result<()> {
-        self.inner.wait_for_computation()
-    }
-
-    fn simulated_time(&self) -> Option<std::time::Duration> {
-        self.inner.simulated_time()
-    }
-
-    fn peek_simulated_time(&self) -> Option<std::time::Duration> {
-        self.inner.peek_simulated_time()
-    }
-
-    fn reset_simulated_time(&mut self) {
-        self.inner.reset_simulated_time()
-    }
-
-    fn queue_stats(&self) -> Option<crate::queue::QueueStats> {
-        self.inner.queue_stats()
-    }
-
-    fn statistics(&self) -> Option<obs::InstanceStats> {
-        let mut stats = self.inner.statistics()?;
-        if let Some(own) = self.recorder.stats() {
-            stats.merge(&own);
-        }
-        Some(stats)
-    }
-
-    fn take_journal(&mut self) -> Vec<obs::Event> {
-        obs::merge_journals(self.inner.take_journal(), self.recorder.take_journal())
-    }
-
-    fn set_deadline(&mut self, deadline: Option<crate::deadline::Deadline>) {
-        self.inner.set_deadline(deadline);
+    fn call(&mut self, call: Call<'_>) -> Result<()> {
+        self.journal.record(&call);
+        call.apply(self.inner.as_mut())
     }
 
     fn checkpoint(&mut self) -> Option<Checkpoint> {
@@ -602,14 +408,6 @@ impl BeagleInstance for CheckpointedInstance {
         });
         Some(ckpt)
     }
-
-    fn set_incremental(&mut self, enabled: bool) {
-        self.inner.set_incremental(enabled);
-    }
-
-    fn memo_stats(&self) -> Option<crate::memo::MemoStats> {
-        self.inner.memo_stats()
-    }
 }
 
 #[cfg(test)]
@@ -618,11 +416,15 @@ mod tests {
 
     fn sample() -> Checkpoint {
         let mut journal = StateJournal::new();
-        journal.record_tip_states(0, &[0, 1, 2, 3]);
-        journal.record_tip_states(1, &[3, 2, 1, 0]);
-        journal.record_pattern_weights(&[1.0, 2.0, 1.0, 1.0]);
-        journal.record_frequencies(0, &[0.25; 4]);
-        journal.record_operations(&[Operation::new(2, 0, 0, 1, 1)]);
+        for call in [
+            Call::SetTipStates(0, vec![0, 1, 2, 3].into()),
+            Call::SetTipStates(1, vec![3, 2, 1, 0].into()),
+            Call::SetPatternWeights(vec![1.0, 2.0, 1.0, 1.0].into()),
+            Call::SetStateFrequencies(0, vec![0.25; 4].into()),
+            Call::UpdatePartials(vec![crate::ops::Operation::new(2, 0, 0, 1, 1)].into()),
+        ] {
+            journal.record(&call);
+        }
         Checkpoint {
             config: InstanceConfig::for_tree(2, 4, 4, 1),
             provenance: Provenance {

@@ -19,6 +19,7 @@
 //! destination would need full-history replay, which no caller does.
 
 use crate::api::{BeagleInstance, InstanceConfig};
+use crate::call::Call;
 use crate::error::Result;
 use crate::ops::Operation;
 use std::collections::BTreeMap;
@@ -60,99 +61,71 @@ impl StateJournal {
         Self::default()
     }
 
-    /// Record `set_tip_states`.
-    pub fn record_tip_states(&mut self, tip: usize, states: &[u32]) {
-        self.tip_states.insert(tip, states.to_vec());
-        self.tip_partials.remove(&tip);
-    }
-
-    /// Record `set_tip_partials`.
-    pub fn record_tip_partials(&mut self, tip: usize, partials: &[f64]) {
-        self.tip_partials.insert(tip, partials.to_vec());
-        self.tip_states.remove(&tip);
-    }
-
-    /// Record `set_partials`.
-    pub fn record_partials(&mut self, buffer: usize, partials: &[f64]) {
-        self.partials.insert(buffer, partials.to_vec());
-        // A direct write supersedes any computed value for this buffer.
-        self.ops.retain(|op| op.destination != buffer);
-    }
-
-    /// Record `set_pattern_weights`.
-    pub fn record_pattern_weights(&mut self, weights: &[f64]) {
-        self.pattern_weights = Some(weights.to_vec());
-    }
-
-    /// Record `set_state_frequencies`.
-    pub fn record_frequencies(&mut self, index: usize, frequencies: &[f64]) {
-        self.frequencies.insert(index, frequencies.to_vec());
-    }
-
-    /// Record `set_category_rates`.
-    pub fn record_category_rates(&mut self, rates: &[f64]) {
-        self.category_rates = Some(rates.to_vec());
-    }
-
-    /// Record `set_category_weights`.
-    pub fn record_category_weights(&mut self, index: usize, weights: &[f64]) {
-        self.category_weights.insert(index, weights.to_vec());
-    }
-
-    /// Record `set_eigen_decomposition`.
-    pub fn record_eigen(
-        &mut self,
-        index: usize,
-        vectors: &[f64],
-        inverse_vectors: &[f64],
-        values: &[f64],
-    ) {
-        self.eigens.insert(
-            index,
-            (vectors.to_vec(), inverse_vectors.to_vec(), values.to_vec()),
-        );
-    }
-
-    /// Record `set_transition_matrix`.
-    pub fn record_matrix(&mut self, index: usize, matrix: &[f64]) {
-        self.matrices.insert(index, matrix.to_vec());
-        self.matrix_updates.remove(&index);
-    }
-
-    /// Record `update_transition_matrices`.
-    pub fn record_matrix_updates(
-        &mut self,
-        eigen_index: usize,
-        matrix_indices: &[usize],
-        branch_lengths: &[f64],
-    ) {
-        for (&m, &t) in matrix_indices.iter().zip(branch_lengths) {
-            self.matrix_updates.insert(m, (eigen_index, t));
-            self.matrices.remove(&m);
+    /// Record one mutating call: the latest value of each input wins.
+    pub fn record(&mut self, call: &Call<'_>) {
+        match call {
+            Call::SetTipStates(tip, states) => {
+                self.tip_states.insert(*tip, states.to_vec());
+                self.tip_partials.remove(tip);
+            }
+            Call::SetTipPartials(tip, partials) => {
+                self.tip_partials.insert(*tip, partials.to_vec());
+                self.tip_states.remove(tip);
+            }
+            Call::SetPartials(buffer, partials) => {
+                self.partials.insert(*buffer, partials.to_vec());
+                // A direct write supersedes any computed value for this buffer.
+                self.ops.retain(|op| op.destination != *buffer);
+            }
+            Call::SetPatternWeights(weights) => self.pattern_weights = Some(weights.to_vec()),
+            Call::SetStateFrequencies(i, frequencies) => {
+                self.frequencies.insert(*i, frequencies.to_vec());
+            }
+            Call::SetCategoryRates(rates) => self.category_rates = Some(rates.to_vec()),
+            Call::SetCategoryWeights(i, weights) => {
+                self.category_weights.insert(*i, weights.to_vec());
+            }
+            Call::SetEigenDecomposition(i, vectors, inverse, values) => {
+                let eigen = (vectors.to_vec(), inverse.to_vec(), values.to_vec());
+                self.eigens.insert(*i, eigen);
+            }
+            Call::SetTransitionMatrix(i, matrix) => {
+                self.matrices.insert(*i, matrix.to_vec());
+                self.matrix_updates.remove(i);
+            }
+            // Derivative matrices are scratch outputs for branch
+            // optimization; the primary matrices are what replay needs.
+            Call::UpdateTransitionMatrices(eigen, matrices, lengths)
+            | Call::UpdateTransitionDerivatives(eigen, matrices, _, _, lengths) => {
+                for (&m, &t) in matrices.iter().zip(lengths.iter()) {
+                    self.matrix_updates.insert(m, (*eigen, t));
+                    self.matrices.remove(&m);
+                }
+            }
+            Call::UpdatePartials(operations) => self.push_operations(operations),
+            Call::UpdatePartialsByLevels(levels) => {
+                for level in levels.iter() {
+                    self.push_operations(level);
+                }
+            }
+            Call::ResetScaleFactors(cumulative) => {
+                self.scale_accumulations.insert(*cumulative, Vec::new());
+            }
+            Call::AccumulateScaleFactors(indices, cumulative) => self
+                .scale_accumulations
+                .entry(*cumulative)
+                .or_default()
+                .extend_from_slice(indices),
         }
     }
 
-    /// Record `update_partials`: each operation supersedes any earlier
-    /// write to the same destination.
-    pub fn record_operations(&mut self, operations: &[Operation]) {
+    /// Each operation supersedes any earlier write to the same destination.
+    fn push_operations(&mut self, operations: &[Operation]) {
         for op in operations {
             self.ops.retain(|o| o.destination != op.destination);
             self.partials.remove(&op.destination);
             self.ops.push(*op);
         }
-    }
-
-    /// Record `reset_scale_factors`.
-    pub fn record_scale_reset(&mut self, cumulative: usize) {
-        self.scale_accumulations.insert(cumulative, Vec::new());
-    }
-
-    /// Record `accumulate_scale_factors`.
-    pub fn record_scale_accumulation(&mut self, scale_indices: &[usize], cumulative: usize) {
-        self.scale_accumulations
-            .entry(cumulative)
-            .or_default()
-            .extend_from_slice(scale_indices);
     }
 
     /// The recorded operations, in replay order.
@@ -385,10 +358,42 @@ impl StateJournal {
         Ok(j)
     }
 
+    /// The recorded state as the calls that rebuild it, in replay order
+    /// (see the module docs).
+    fn calls(&self) -> impl Iterator<Item = Call<'_>> {
+        use std::slice::from_ref;
+        let (tips, tip_partials) = (self.tip_states.iter(), self.tip_partials.iter());
+        let (partials, weights) = (self.partials.iter(), self.pattern_weights.iter());
+        let (freqs, rates) = (self.frequencies.iter(), self.category_rates.iter());
+        let (cat_weights, eigens) = (self.category_weights.iter(), self.eigens.iter());
+        let (matrices, updates) = (self.matrices.iter(), self.matrix_updates.iter());
+        let ops = (!self.ops.is_empty()).then_some(&self.ops);
+        let scale = self.scale_accumulations.iter().flat_map(|(&c, indices)| {
+            let accumulate =
+                (!indices.is_empty()).then(|| Call::AccumulateScaleFactors(indices.into(), c));
+            std::iter::once(Call::ResetScaleFactors(c)).chain(accumulate)
+        });
+        (tips.map(|(&tip, states)| Call::SetTipStates(tip, states.into())))
+            .chain(tip_partials.map(|(&tip, p)| Call::SetTipPartials(tip, p.into())))
+            .chain(partials.map(|(&buffer, p)| Call::SetPartials(buffer, p.into())))
+            .chain(weights.map(|w| Call::SetPatternWeights(w.into())))
+            .chain(freqs.map(|(&i, f)| Call::SetStateFrequencies(i, f.into())))
+            .chain(rates.map(|r| Call::SetCategoryRates(r.into())))
+            .chain(cat_weights.map(|(&i, w)| Call::SetCategoryWeights(i, w.into())))
+            .chain(eigens.map(|(&i, (v, iv, ev))| {
+                Call::SetEigenDecomposition(i, v.into(), iv.into(), ev.into())
+            }))
+            .chain(matrices.map(|(&i, m)| Call::SetTransitionMatrix(i, m.into())))
+            .chain(updates.map(|(m, (eigen, t))| {
+                Call::UpdateTransitionMatrices(*eigen, from_ref(m).into(), from_ref(t).into())
+            }))
+            .chain(ops.map(|ops| Call::UpdatePartials(ops.into())))
+            .chain(scale)
+    }
+
     /// Replay the journal into `target`, restricted to the pattern range
     /// `[p0, p1)` of the original instance whose full configuration was
-    /// `full`. Pattern-indexed data (tips, weights, direct partials) is
-    /// sliced; model parameters and operations replay whole. With
+    /// `full` ([`Call::slice_patterns`] decides what is sliced). With
     /// `(0, full.pattern_count)` this rebuilds a same-sized instance.
     pub fn replay_slice(
         &self,
@@ -397,53 +402,8 @@ impl StateJournal {
         p0: usize,
         p1: usize,
     ) -> Result<()> {
-        let s = full.state_count;
-        for (&tip, states) in &self.tip_states {
-            target.set_tip_states(tip, &states[p0..p1])?;
-        }
-        for (&tip, partials) in &self.tip_partials {
-            target.set_tip_partials(tip, &partials[p0 * s..p1 * s])?;
-        }
-        for (&buffer, data) in &self.partials {
-            // Slice each category's pattern block out of the full buffer.
-            let mut sub = Vec::with_capacity(full.category_count * (p1 - p0) * s);
-            for c in 0..full.category_count {
-                let base = (c * full.pattern_count + p0) * s;
-                sub.extend_from_slice(&data[base..base + (p1 - p0) * s]);
-            }
-            target.set_partials(buffer, &sub)?;
-        }
-        if let Some(w) = &self.pattern_weights {
-            target.set_pattern_weights(&w[p0..p1])?;
-        }
-        for (&i, f) in &self.frequencies {
-            target.set_state_frequencies(i, f)?;
-        }
-        if let Some(r) = &self.category_rates {
-            target.set_category_rates(r)?;
-        }
-        for (&i, w) in &self.category_weights {
-            target.set_category_weights(i, w)?;
-        }
-        for (&i, (v, iv, ev)) in &self.eigens {
-            target.set_eigen_decomposition(i, v, iv, ev)?;
-        }
-        for (&i, m) in &self.matrices {
-            target.set_transition_matrix(i, m)?;
-        }
-        for (&m, &(eigen, t)) in &self.matrix_updates {
-            target.update_transition_matrices(eigen, &[m], &[t])?;
-        }
-        if !self.ops.is_empty() {
-            target.update_partials(&self.ops)?;
-        }
-        for (&cumulative, indices) in &self.scale_accumulations {
-            target.reset_scale_factors(cumulative)?;
-            if !indices.is_empty() {
-                target.accumulate_scale_factors(indices, cumulative)?;
-            }
-        }
-        Ok(())
+        self.calls()
+            .try_for_each(|call| call.slice_patterns(p0, p1, full).apply(target))
     }
 }
 
@@ -455,11 +415,19 @@ mod tests {
         Operation::new(dest, c1, c1, c2, c2)
     }
 
+    fn matrix_update(index: usize, t: f64) -> Call<'static> {
+        Call::UpdateTransitionMatrices(0, vec![index].into(), vec![t].into())
+    }
+
+    fn accumulate(scale_indices: &[usize], cumulative: usize) -> Call<'_> {
+        Call::AccumulateScaleFactors(scale_indices.into(), cumulative)
+    }
+
     #[test]
     fn operations_dedupe_by_destination() {
         let mut j = StateJournal::new();
-        j.record_operations(&[op(4, 0, 1), op(5, 2, 3)]);
-        j.record_operations(&[op(4, 1, 2)]);
+        j.record(&Call::UpdatePartials(vec![op(4, 0, 1), op(5, 2, 3)].into()));
+        j.record(&Call::UpdatePartials(vec![op(4, 1, 2)].into()));
         let dests: Vec<usize> = j.operations().iter().map(|o| o.destination).collect();
         assert_eq!(
             dests,
@@ -472,10 +440,10 @@ mod tests {
     #[test]
     fn direct_partials_supersede_operations_and_vice_versa() {
         let mut j = StateJournal::new();
-        j.record_operations(&[op(4, 0, 1)]);
-        j.record_partials(4, &[1.0; 16]);
+        j.record(&Call::UpdatePartials(vec![op(4, 0, 1)].into()));
+        j.record(&Call::SetPartials(4, vec![1.0; 16].into()));
         assert!(j.operations().is_empty());
-        j.record_operations(&[op(4, 0, 1)]);
+        j.record(&Call::UpdatePartials(vec![op(4, 0, 1)].into()));
         assert_eq!(j.operations().len(), 1);
         assert!(j.partials.is_empty());
     }
@@ -483,10 +451,10 @@ mod tests {
     #[test]
     fn matrix_sources_are_exclusive() {
         let mut j = StateJournal::new();
-        j.record_matrix_updates(0, &[3], &[0.1]);
-        j.record_matrix(3, &[0.25; 16]);
+        j.record(&matrix_update(3, 0.1));
+        j.record(&Call::SetTransitionMatrix(3, vec![0.25; 16].into()));
         assert!(j.matrix_updates.is_empty());
-        j.record_matrix_updates(0, &[3], &[0.2]);
+        j.record(&matrix_update(3, 0.2));
         assert!(j.matrices.is_empty());
         assert_eq!(j.matrix_updates[&3], (0, 0.2));
     }
@@ -494,18 +462,31 @@ mod tests {
     #[test]
     fn encode_decode_round_trips_bit_exactly() {
         let mut j = StateJournal::new();
-        j.record_tip_states(0, &[0, 3, u32::MAX]);
-        j.record_tip_partials(1, &[0.25, 1e-300, -0.0]);
-        j.record_partials(4, &[std::f64::consts::PI, 2.0_f64.sqrt()]);
-        j.record_pattern_weights(&[1.0, 2.0, 3.0]);
-        j.record_frequencies(0, &[0.1, 0.2, 0.3, 0.4]);
-        j.record_category_rates(&[0.5, 1.5]);
-        j.record_category_weights(0, &[0.5, 0.5]);
-        j.record_eigen(0, &[1.0; 4], &[2.0; 4], &[-0.5, 0.5]);
-        j.record_matrix(3, &[0.25; 4]);
-        j.record_matrix_updates(0, &[5], &[0.123456789]);
-        j.record_operations(&[op(6, 0, 1), op(7, 6, 2).with_scaling(7)]);
-        j.record_scale_accumulation(&[6, 7], 9);
+        j.record(&Call::SetTipStates(0, vec![0, 3, u32::MAX].into()));
+        j.record(&Call::SetTipPartials(1, vec![0.25, 1e-300, -0.0].into()));
+        j.record(&Call::SetPartials(
+            4,
+            vec![std::f64::consts::PI, 2.0_f64.sqrt()].into(),
+        ));
+        j.record(&Call::SetPatternWeights(vec![1.0, 2.0, 3.0].into()));
+        j.record(&Call::SetStateFrequencies(
+            0,
+            vec![0.1, 0.2, 0.3, 0.4].into(),
+        ));
+        j.record(&Call::SetCategoryRates(vec![0.5, 1.5].into()));
+        j.record(&Call::SetCategoryWeights(0, vec![0.5, 0.5].into()));
+        j.record(&Call::SetEigenDecomposition(
+            0,
+            vec![1.0; 4].into(),
+            vec![2.0; 4].into(),
+            vec![-0.5, 0.5].into(),
+        ));
+        j.record(&Call::SetTransitionMatrix(3, vec![0.25; 4].into()));
+        j.record(&matrix_update(5, 0.123456789));
+        j.record(&Call::UpdatePartials(
+            vec![op(6, 0, 1), op(7, 6, 2).with_scaling(7)].into(),
+        ));
+        j.record(&accumulate(&[6, 7], 9));
 
         let mut text = String::new();
         j.encode_into(&mut text);
@@ -537,9 +518,9 @@ mod tests {
     #[test]
     fn scale_reset_clears_accumulation() {
         let mut j = StateJournal::new();
-        j.record_scale_accumulation(&[1, 2], 9);
-        j.record_scale_reset(9);
-        j.record_scale_accumulation(&[3], 9);
+        j.record(&accumulate(&[1, 2], 9));
+        j.record(&Call::ResetScaleFactors(9));
+        j.record(&accumulate(&[3], 9));
         assert_eq!(j.scale_accumulations[&9], vec![3]);
     }
 }

@@ -14,6 +14,7 @@
 //!
 //! * [`api`] — the [`api::BeagleInstance`] trait and instance configuration
 //! * [`balance`] — adaptive load balancing: EWMA throughput + repartitioning
+//! * [`call`] — the reified call stream every wrapper layer intercepts
 //! * [`ops`] — partial-likelihood operation descriptors + dependency analysis
 //! * [`memo`] — epoch-based incremental computation (operation memoization)
 //! * [`queue`] — deferred execution: operation queue + eigen/matrix caching
@@ -31,6 +32,7 @@
 pub mod api;
 pub mod balance;
 pub mod buffers;
+pub mod call;
 pub mod checkpoint;
 pub mod deadline;
 pub mod error;
@@ -52,6 +54,7 @@ pub mod wire;
 
 pub use api::{BeagleInstance, BufferId, InstanceConfig, InstanceDetails, ScalingMode};
 pub use balance::{BalancerConfig, LoadBalancer, PATTERN_STRIDE};
+pub use call::Call;
 pub use checkpoint::{Checkpoint, CheckpointedInstance};
 pub use deadline::Deadline;
 pub use error::{BeagleError, DeviceErrorKind, Result};

@@ -49,9 +49,11 @@
 //! unknown, so nothing downstream may be skipped. A queued retry after a
 //! transient fault therefore re-executes rather than falsely skipping.
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 
 use crate::api::{BeagleInstance, BufferId, InstanceConfig, InstanceDetails, ScalingMode};
+use crate::call::Call;
 use crate::error::Result;
 use crate::obs::{self, EventKind, Recorder};
 use crate::ops::Operation;
@@ -119,21 +121,10 @@ impl MemoStats {
     }
 }
 
-/// Directly-set buffer content, kept verbatim for exact dedup comparison.
-#[derive(Clone, Debug, PartialEq)]
-enum DirectContent {
-    TipStates(Vec<u32>),
-    TipPartials(Vec<u64>),
-    Partials(Vec<u64>),
-}
-
-/// Bit patterns of one eigen system: (vectors, inverse vectors, values).
-type EigenBits = (Vec<u64>, Vec<u64>, Vec<u64>);
-
 /// How a partials destination got its current content.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum PartialsSig {
-    /// Set directly; the bits live in `partials_content`.
+    /// Set directly; the bits live in the memo's direct-content map.
     Direct,
     /// Produced by `op` when its inputs had these epochs.
     Op {
@@ -148,7 +139,7 @@ enum PartialsSig {
 /// How a transition-matrix buffer got its current content.
 #[derive(Clone, Debug, PartialEq)]
 enum MatrixSig {
-    /// Set directly; the bits live in `matrix_content`.
+    /// Set directly; the bits live in the memo's direct-content map.
     Direct,
     /// Derived from an eigen system and a branch length.
     Derived {
@@ -184,10 +175,6 @@ struct IntegrationSig {
     scale_epoch: u64,
 }
 
-fn bits(data: &[f64]) -> Vec<u64> {
-    data.iter().map(|x| x.to_bits()).collect()
-}
-
 fn epoch_at(v: &[u64], i: usize) -> u64 {
     v.get(i).copied().unwrap_or(0)
 }
@@ -210,6 +197,61 @@ fn get_slot<T>(v: &[Option<T>], i: usize) -> Option<&T> {
     v.get(i).and_then(|s| s.as_ref())
 }
 
+/// The buffer a direct write (a `set_*` call) targets. Every such call is
+/// deduplicated by one keyed-slot helper ([`MemoInstance::set_direct`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum SetKey {
+    /// A partials buffer: tip states, tip partials or direct partials.
+    Partials(usize),
+    Matrix(usize),
+    Eigen(usize),
+    Frequencies(usize),
+    CategoryWeights(usize),
+    CategoryRates,
+    PatternWeights,
+}
+
+/// Exact content of a direct write, kept for dedup comparison: tip states
+/// verbatim, any other payload as the bit patterns of its values, led by a
+/// call-kind tag and each part's length (so a tip-partials write never
+/// matches a partials write of the same bits, nor one eigen split another).
+#[derive(Debug, PartialEq)]
+enum Content {
+    States(Vec<u32>),
+    Bits(Vec<u64>),
+}
+
+impl SetKey {
+    /// The slot a direct write targets and its content; `None` for
+    /// computed writes.
+    fn of(call: &Call<'_>) -> Option<(SetKey, Content)> {
+        fn bits(tag: u64, parts: &[&Cow<'_, [f64]>]) -> Content {
+            let words = 1 + parts.iter().map(|p| 1 + p.len()).sum::<usize>();
+            let mut out = Vec::with_capacity(words);
+            out.push(tag);
+            for part in parts {
+                out.push(part.len() as u64);
+                out.extend(part.iter().map(|x| x.to_bits()));
+            }
+            Content::Bits(out)
+        }
+        Some(match call {
+            Call::SetTipStates(tip, states) => {
+                (SetKey::Partials(*tip), Content::States(states.to_vec()))
+            }
+            Call::SetTipPartials(tip, p) => (SetKey::Partials(*tip), bits(1, &[p])),
+            Call::SetPartials(buffer, p) => (SetKey::Partials(*buffer), bits(2, &[p])),
+            Call::SetTransitionMatrix(i, m) => (SetKey::Matrix(*i), bits(0, &[m])),
+            Call::SetEigenDecomposition(i, v, iv, ev) => (SetKey::Eigen(*i), bits(0, &[v, iv, ev])),
+            Call::SetStateFrequencies(i, f) => (SetKey::Frequencies(*i), bits(0, &[f])),
+            Call::SetCategoryWeights(i, w) => (SetKey::CategoryWeights(*i), bits(0, &[w])),
+            Call::SetCategoryRates(rates) => (SetKey::CategoryRates, bits(0, &[rates])),
+            Call::SetPatternWeights(w) => (SetKey::PatternWeights, bits(0, &[w])),
+            _ => return None,
+        })
+    }
+}
+
 /// The incremental memoization wrapper. See the module docs for the scheme;
 /// created by the manager directly above the raw back-end.
 pub struct MemoInstance {
@@ -217,28 +259,22 @@ pub struct MemoInstance {
     enabled: bool,
     clock: u64,
 
+    /// Content of each buffer whose last write was a successful direct
+    /// `set_*`, kept for exact dedup comparison. Computed writes and
+    /// failures clear the slot.
+    direct: HashMap<SetKey, Content>,
+
     partials_epoch: Vec<u64>,
     partials_sig: Vec<Option<PartialsSig>>,
-    partials_content: Vec<Option<DirectContent>>,
 
     matrix_epoch: Vec<u64>,
     matrix_sig: Vec<Option<MatrixSig>>,
-    matrix_content: Vec<Option<Vec<u64>>>,
 
     eigen_epoch: Vec<u64>,
-    eigen_content: Vec<Option<EigenBits>>,
-
     freq_epoch: Vec<u64>,
-    freq_content: Vec<Option<Vec<u64>>>,
-
     catw_epoch: Vec<u64>,
-    catw_content: Vec<Option<Vec<u64>>>,
-
     rates_epoch: u64,
-    rates_content: Option<Vec<u64>>,
-
     pattern_weights_epoch: u64,
-    pattern_weights_content: Option<Vec<u64>>,
 
     scale_epoch: Vec<u64>,
     scale_sig: Vec<Option<ScaleSig>>,
@@ -259,22 +295,16 @@ impl MemoInstance {
             inner,
             enabled: true,
             clock: 0,
+            direct: HashMap::new(),
             partials_epoch: vec![0; cfg.partials_buffer_count],
             partials_sig: Vec::new(),
-            partials_content: Vec::new(),
             matrix_epoch: vec![0; cfg.matrix_buffer_count],
             matrix_sig: Vec::new(),
-            matrix_content: Vec::new(),
             eigen_epoch: vec![0; cfg.eigen_buffer_count],
-            eigen_content: Vec::new(),
             freq_epoch: Vec::new(),
-            freq_content: Vec::new(),
             catw_epoch: Vec::new(),
-            catw_content: Vec::new(),
             rates_epoch: 0,
-            rates_content: None,
             pattern_weights_epoch: 0,
-            pattern_weights_content: None,
             scale_epoch: vec![0; cfg.scale_buffer_count],
             scale_sig: Vec::new(),
             pending_resets: BTreeSet::new(),
@@ -292,12 +322,62 @@ impl MemoInstance {
         self.clock
     }
 
+    /// The epoch of a direct-write slot.
+    fn epoch_mut(&mut self, key: SetKey) -> &mut u64 {
+        let (epochs, i) = match key {
+            SetKey::Partials(i) => (&mut self.partials_epoch, i),
+            SetKey::Matrix(i) => (&mut self.matrix_epoch, i),
+            SetKey::Eigen(i) => (&mut self.eigen_epoch, i),
+            SetKey::Frequencies(i) => (&mut self.freq_epoch, i),
+            SetKey::CategoryWeights(i) => (&mut self.catw_epoch, i),
+            SetKey::CategoryRates => return &mut self.rates_epoch,
+            SetKey::PatternWeights => return &mut self.pattern_weights_epoch,
+        };
+        if i >= epochs.len() {
+            epochs.resize(i + 1, 0);
+        }
+        &mut epochs[i]
+    }
+
+    /// Keyed-slot dedup for a direct write: a call whose content is
+    /// bit-identical to what its slot holds is elided (when skipping is
+    /// enabled). Otherwise the call is forwarded and the slot's epoch
+    /// ticks; the slot keeps the content (and a partials or matrix buffer
+    /// its `Direct` signature) only if the back-end accepted the write.
+    fn set_direct(&mut self, key: SetKey, content: Content, call: &Call<'_>) -> Result<()> {
+        if self.direct.get(&key) == Some(&content) {
+            self.stats.sets_deduped += 1;
+            if self.enabled {
+                return Ok(());
+            }
+            return call.apply(self.inner.as_mut());
+        }
+        let result = call.apply(self.inner.as_mut());
+        let e = self.tick();
+        *self.epoch_mut(key) = e;
+        let ok = result.is_ok();
+        match key {
+            SetKey::Partials(i) => {
+                *slot(&mut self.partials_sig, i) = ok.then_some(PartialsSig::Direct)
+            }
+            SetKey::Matrix(i) => *slot(&mut self.matrix_sig, i) = ok.then_some(MatrixSig::Direct),
+            _ => {}
+        }
+        if ok {
+            self.direct.insert(key, content);
+        } else {
+            self.direct.remove(&key);
+        }
+        self.last_integration = None;
+        result
+    }
+
     /// Invalidate a partials destination after a failed or unknown write.
     fn poison_partials(&mut self, dest: usize) {
         let e = self.tick();
         bump_at(&mut self.partials_epoch, dest, e);
         *slot(&mut self.partials_sig, dest) = None;
-        *slot(&mut self.partials_content, dest) = None;
+        self.direct.remove(&SetKey::Partials(dest));
         self.last_integration = None;
     }
 
@@ -305,7 +385,7 @@ impl MemoInstance {
         let e = self.tick();
         bump_at(&mut self.matrix_epoch, index, e);
         *slot(&mut self.matrix_sig, index) = None;
-        *slot(&mut self.matrix_content, index) = None;
+        self.direct.remove(&SetKey::Matrix(index));
         self.last_integration = None;
     }
 
@@ -409,7 +489,7 @@ impl MemoInstance {
         for (op, sig, dest_epoch, scale_epoch) in commits {
             bump_at(&mut self.partials_epoch, op.destination, dest_epoch);
             *slot(&mut self.partials_sig, op.destination) = Some(sig);
-            *slot(&mut self.partials_content, op.destination) = None;
+            self.direct.remove(&SetKey::Partials(op.destination));
             if let (Some(s), Some(se)) = (op.dest_scale_write, scale_epoch) {
                 bump_at(&mut self.scale_epoch, s, se);
                 *slot(&mut self.scale_sig, s) = Some(ScaleSig::OpScale {
@@ -442,244 +522,64 @@ impl MemoInstance {
         }
     }
 
-    /// Dedup a small `set_*` payload: returns `true` when the stored
-    /// content is bit-identical (caller may skip the forward when enabled).
-    fn dedup_hit(stored: &Option<Vec<u64>>, new_bits: &[u64]) -> bool {
-        stored.as_deref() == Some(new_bits)
-    }
-}
-
-impl BeagleInstance for MemoInstance {
-    fn details(&self) -> &InstanceDetails {
-        self.inner.details()
-    }
-
-    fn config(&self) -> &InstanceConfig {
-        self.inner.config()
-    }
-
-    fn set_tip_states(&mut self, tip: usize, states: &[u32]) -> Result<()> {
-        let content = DirectContent::TipStates(states.to_vec());
-        if get_slot(&self.partials_content, tip) == Some(&content) {
-            self.stats.sets_deduped += 1;
-            if self.enabled {
-                return Ok(());
+    /// Memoized partials submission: `levels` is the single operation list
+    /// of an `update_partials` call, or the dependency levels of an
+    /// `update_partials_by_levels` call (`by_levels`), forwarded in the same
+    /// shape minus the skipped operations.
+    fn run_partials<L: AsRef<[Operation]>>(&mut self, levels: &[L], by_levels: bool) -> Result<()> {
+        let scale_targets: Vec<usize> = levels
+            .iter()
+            .flat_map(|level| level.as_ref())
+            .filter_map(|op| op.dest_scale_write)
+            .collect();
+        self.flush_resets_among(&scale_targets)?;
+        let mut tent = HashMap::new();
+        let mut next_epoch = self.clock;
+        let mut fwd_levels: Vec<Vec<Operation>> = Vec::new();
+        let mut all_commits = Vec::new();
+        let mut skipped = 0u64;
+        let mut total = 0usize;
+        for level in levels {
+            let level = level.as_ref();
+            total += level.len();
+            let (forward, commits, s) = self.plan_ops(level, &mut tent, &mut next_epoch);
+            skipped += s;
+            all_commits.extend(commits);
+            if !forward.is_empty() {
+                fwd_levels.push(forward);
             }
-            return self.inner.set_tip_states(tip, states);
         }
-        match self.inner.set_tip_states(tip, states) {
+        let what = if by_levels {
+            "update_partials_by_levels"
+        } else {
+            "update_partials"
+        };
+        self.skip_event(what, skipped, total);
+        if fwd_levels.is_empty() {
+            return Ok(());
+        }
+        self.stats.ops_executed += all_commits.len() as u64;
+        let result = if by_levels {
+            self.inner.update_partials_by_levels(&fwd_levels)
+        } else {
+            self.inner.update_partials(&fwd_levels[0])
+        };
+        match result {
             Ok(()) => {
-                let e = self.tick();
-                bump_at(&mut self.partials_epoch, tip, e);
-                *slot(&mut self.partials_sig, tip) = Some(PartialsSig::Direct);
-                *slot(&mut self.partials_content, tip) = Some(content);
-                self.last_integration = None;
+                self.commit_ops(all_commits);
                 Ok(())
             }
             Err(e) => {
-                self.poison_partials(tip);
+                self.poison_ops(&all_commits);
                 Err(e)
             }
         }
     }
 
-    fn set_tip_partials(&mut self, tip: usize, partials: &[f64]) -> Result<()> {
-        let content = DirectContent::TipPartials(bits(partials));
-        if get_slot(&self.partials_content, tip) == Some(&content) {
-            self.stats.sets_deduped += 1;
-            if self.enabled {
-                return Ok(());
-            }
-            return self.inner.set_tip_partials(tip, partials);
-        }
-        match self.inner.set_tip_partials(tip, partials) {
-            Ok(()) => {
-                let e = self.tick();
-                bump_at(&mut self.partials_epoch, tip, e);
-                *slot(&mut self.partials_sig, tip) = Some(PartialsSig::Direct);
-                *slot(&mut self.partials_content, tip) = Some(content);
-                self.last_integration = None;
-                Ok(())
-            }
-            Err(e) => {
-                self.poison_partials(tip);
-                Err(e)
-            }
-        }
-    }
-
-    fn set_partials(&mut self, buffer: usize, partials: &[f64]) -> Result<()> {
-        let content = DirectContent::Partials(bits(partials));
-        if get_slot(&self.partials_content, buffer) == Some(&content) {
-            self.stats.sets_deduped += 1;
-            if self.enabled {
-                return Ok(());
-            }
-            return self.inner.set_partials(buffer, partials);
-        }
-        match self.inner.set_partials(buffer, partials) {
-            Ok(()) => {
-                let e = self.tick();
-                bump_at(&mut self.partials_epoch, buffer, e);
-                *slot(&mut self.partials_sig, buffer) = Some(PartialsSig::Direct);
-                *slot(&mut self.partials_content, buffer) = Some(content);
-                self.last_integration = None;
-                Ok(())
-            }
-            Err(e) => {
-                self.poison_partials(buffer);
-                Err(e)
-            }
-        }
-    }
-
-    fn get_partials(&self, buffer: usize) -> Result<Vec<f64>> {
-        self.inner.get_partials(buffer)
-    }
-
-    fn set_pattern_weights(&mut self, weights: &[f64]) -> Result<()> {
-        let b = bits(weights);
-        if Self::dedup_hit(&self.pattern_weights_content, &b) {
-            self.stats.sets_deduped += 1;
-            if self.enabled {
-                return Ok(());
-            }
-            return self.inner.set_pattern_weights(weights);
-        }
-        match self.inner.set_pattern_weights(weights) {
-            Ok(()) => {
-                self.pattern_weights_epoch = self.tick();
-                self.pattern_weights_content = Some(b);
-                self.last_integration = None;
-                Ok(())
-            }
-            Err(e) => {
-                self.pattern_weights_epoch = self.tick();
-                self.pattern_weights_content = None;
-                self.last_integration = None;
-                Err(e)
-            }
-        }
-    }
-
-    fn set_state_frequencies(&mut self, index: usize, frequencies: &[f64]) -> Result<()> {
-        let b = bits(frequencies);
-        if get_slot(&self.freq_content, index).is_some_and(|c| c == &b) {
-            self.stats.sets_deduped += 1;
-            if self.enabled {
-                return Ok(());
-            }
-            return self.inner.set_state_frequencies(index, frequencies);
-        }
-        match self.inner.set_state_frequencies(index, frequencies) {
-            Ok(()) => {
-                let e = self.tick();
-                bump_at(&mut self.freq_epoch, index, e);
-                *slot(&mut self.freq_content, index) = Some(b);
-                self.last_integration = None;
-                Ok(())
-            }
-            Err(e) => {
-                let t = self.tick();
-                bump_at(&mut self.freq_epoch, index, t);
-                *slot(&mut self.freq_content, index) = None;
-                self.last_integration = None;
-                Err(e)
-            }
-        }
-    }
-
-    fn set_category_rates(&mut self, rates: &[f64]) -> Result<()> {
-        let b = bits(rates);
-        if Self::dedup_hit(&self.rates_content, &b) {
-            self.stats.sets_deduped += 1;
-            if self.enabled {
-                return Ok(());
-            }
-            return self.inner.set_category_rates(rates);
-        }
-        match self.inner.set_category_rates(rates) {
-            Ok(()) => {
-                self.rates_epoch = self.tick();
-                self.rates_content = Some(b);
-                self.last_integration = None;
-                Ok(())
-            }
-            Err(e) => {
-                self.rates_epoch = self.tick();
-                self.rates_content = None;
-                self.last_integration = None;
-                Err(e)
-            }
-        }
-    }
-
-    fn set_category_weights(&mut self, index: usize, weights: &[f64]) -> Result<()> {
-        let b = bits(weights);
-        if get_slot(&self.catw_content, index).is_some_and(|c| c == &b) {
-            self.stats.sets_deduped += 1;
-            if self.enabled {
-                return Ok(());
-            }
-            return self.inner.set_category_weights(index, weights);
-        }
-        match self.inner.set_category_weights(index, weights) {
-            Ok(()) => {
-                let e = self.tick();
-                bump_at(&mut self.catw_epoch, index, e);
-                *slot(&mut self.catw_content, index) = Some(b);
-                self.last_integration = None;
-                Ok(())
-            }
-            Err(e) => {
-                let t = self.tick();
-                bump_at(&mut self.catw_epoch, index, t);
-                *slot(&mut self.catw_content, index) = None;
-                self.last_integration = None;
-                Err(e)
-            }
-        }
-    }
-
-    fn set_eigen_decomposition(
-        &mut self,
-        index: usize,
-        vectors: &[f64],
-        inverse_vectors: &[f64],
-        values: &[f64],
-    ) -> Result<()> {
-        let content = (bits(vectors), bits(inverse_vectors), bits(values));
-        if get_slot(&self.eigen_content, index) == Some(&content) {
-            self.stats.sets_deduped += 1;
-            if self.enabled {
-                return Ok(());
-            }
-            return self
-                .inner
-                .set_eigen_decomposition(index, vectors, inverse_vectors, values);
-        }
-        match self
-            .inner
-            .set_eigen_decomposition(index, vectors, inverse_vectors, values)
-        {
-            Ok(()) => {
-                let e = self.tick();
-                bump_at(&mut self.eigen_epoch, index, e);
-                *slot(&mut self.eigen_content, index) = Some(content);
-                self.last_integration = None;
-                Ok(())
-            }
-            Err(e) => {
-                let t = self.tick();
-                bump_at(&mut self.eigen_epoch, index, t);
-                *slot(&mut self.eigen_content, index) = None;
-                self.last_integration = None;
-                Err(e)
-            }
-        }
-    }
-
-    fn update_transition_matrices(
+    /// Memoized `update_transition_matrices`: derivations whose signature
+    /// (eigen epoch, rates epoch, branch-length bits) the destination
+    /// already holds are skipped.
+    fn update_matrices(
         &mut self,
         eigen_index: usize,
         matrix_indices: &[usize],
@@ -733,7 +633,7 @@ impl BeagleInstance for MemoInstance {
                     let e = self.tick();
                     bump_at(&mut self.matrix_epoch, idx, e);
                     *slot(&mut self.matrix_sig, idx) = Some(sig);
-                    *slot(&mut self.matrix_content, idx) = None;
+                    self.direct.remove(&SetKey::Matrix(idx));
                 }
                 self.last_integration = None;
                 Ok(())
@@ -747,156 +647,9 @@ impl BeagleInstance for MemoInstance {
         }
     }
 
-    fn update_transition_derivatives(
-        &mut self,
-        eigen_index: usize,
-        matrix_indices: &[usize],
-        d1_indices: &[usize],
-        d2_indices: &[usize],
-        branch_lengths: &[f64],
-    ) -> Result<()> {
-        // Derivative buffers are not modeled by signatures; invalidate every
-        // written matrix so nothing downstream is ever falsely skipped.
-        let r = self.inner.update_transition_derivatives(
-            eigen_index,
-            matrix_indices,
-            d1_indices,
-            d2_indices,
-            branch_lengths,
-        );
-        for &idx in matrix_indices.iter().chain(d1_indices).chain(d2_indices) {
-            self.poison_matrix(idx);
-        }
-        r
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn integrate_edge_derivatives(
-        &mut self,
-        parent: BufferId,
-        child: BufferId,
-        matrix: BufferId,
-        d1_matrix: BufferId,
-        d2_matrix: BufferId,
-        category_weights: BufferId,
-        frequencies: BufferId,
-        scaling: ScalingMode,
-    ) -> Result<(f64, f64, f64)> {
-        if let ScalingMode::Cumulative(c) = scaling {
-            self.flush_resets_among(&[c.0])?;
-        }
-        // Overwrites the back-end's site-likelihood state; drop the cached
-        // integration so a later identical root/edge call re-executes.
-        self.last_integration = None;
-        self.inner.integrate_edge_derivatives(
-            parent,
-            child,
-            matrix,
-            d1_matrix,
-            d2_matrix,
-            category_weights,
-            frequencies,
-            scaling,
-        )
-    }
-
-    fn set_transition_matrix(&mut self, index: usize, matrix: &[f64]) -> Result<()> {
-        let b = bits(matrix);
-        if get_slot(&self.matrix_sig, index) == Some(&MatrixSig::Direct)
-            && get_slot(&self.matrix_content, index).is_some_and(|c| c == &b)
-        {
-            self.stats.sets_deduped += 1;
-            if self.enabled {
-                return Ok(());
-            }
-            return self.inner.set_transition_matrix(index, matrix);
-        }
-        match self.inner.set_transition_matrix(index, matrix) {
-            Ok(()) => {
-                let e = self.tick();
-                bump_at(&mut self.matrix_epoch, index, e);
-                *slot(&mut self.matrix_sig, index) = Some(MatrixSig::Direct);
-                *slot(&mut self.matrix_content, index) = Some(b);
-                self.last_integration = None;
-                Ok(())
-            }
-            Err(e) => {
-                self.poison_matrix(index);
-                Err(e)
-            }
-        }
-    }
-
-    fn get_transition_matrix(&self, index: usize) -> Result<Vec<f64>> {
-        self.inner.get_transition_matrix(index)
-    }
-
-    fn update_partials(&mut self, operations: &[Operation]) -> Result<()> {
-        let scale_targets: Vec<usize> = operations
-            .iter()
-            .filter_map(|op| op.dest_scale_write)
-            .collect();
-        self.flush_resets_among(&scale_targets)?;
-        let mut tent = HashMap::new();
-        let mut next_epoch = self.clock;
-        let (forward, commits, skipped) = self.plan_ops(operations, &mut tent, &mut next_epoch);
-        self.skip_event("update_partials", skipped, operations.len());
-        if forward.is_empty() {
-            return Ok(());
-        }
-        self.stats.ops_executed += forward.len() as u64;
-        match self.inner.update_partials(&forward) {
-            Ok(()) => {
-                self.commit_ops(commits);
-                Ok(())
-            }
-            Err(e) => {
-                self.poison_ops(&commits);
-                Err(e)
-            }
-        }
-    }
-
-    fn update_partials_by_levels(&mut self, levels: &[Vec<Operation>]) -> Result<()> {
-        let scale_targets: Vec<usize> = levels
-            .iter()
-            .flatten()
-            .filter_map(|op| op.dest_scale_write)
-            .collect();
-        self.flush_resets_among(&scale_targets)?;
-        let mut tent = HashMap::new();
-        let mut next_epoch = self.clock;
-        let mut fwd_levels: Vec<Vec<Operation>> = Vec::new();
-        let mut all_commits = Vec::new();
-        let mut skipped = 0u64;
-        let mut total = 0usize;
-        for level in levels {
-            total += level.len();
-            let (forward, commits, s) = self.plan_ops(level, &mut tent, &mut next_epoch);
-            skipped += s;
-            all_commits.extend(commits);
-            if !forward.is_empty() {
-                fwd_levels.push(forward);
-            }
-        }
-        self.skip_event("update_partials_by_levels", skipped, total);
-        if fwd_levels.is_empty() {
-            return Ok(());
-        }
-        self.stats.ops_executed += all_commits.len() as u64;
-        match self.inner.update_partials_by_levels(&fwd_levels) {
-            Ok(()) => {
-                self.commit_ops(all_commits);
-                Ok(())
-            }
-            Err(e) => {
-                self.poison_ops(&all_commits);
-                Err(e)
-            }
-        }
-    }
-
-    fn reset_scale_factors(&mut self, cumulative: usize) -> Result<()> {
+    /// `reset_scale_factors`, deferred while skipping is enabled: a
+    /// matching accumulate may prove the whole pair clean.
+    fn reset_scale(&mut self, cumulative: usize) -> Result<()> {
         if self.enabled {
             if get_slot(&self.scale_sig, cumulative) == Some(&ScaleSig::Reset)
                 && !self.pending_resets.contains(&cumulative)
@@ -905,7 +658,6 @@ impl BeagleInstance for MemoInstance {
                 self.stats.sets_deduped += 1;
                 return Ok(());
             }
-            // Defer: a matching accumulate may prove the whole pair clean.
             self.pending_resets.insert(cumulative);
             return Ok(());
         }
@@ -926,11 +678,9 @@ impl BeagleInstance for MemoInstance {
         }
     }
 
-    fn accumulate_scale_factors(
-        &mut self,
-        scale_indices: &[usize],
-        cumulative: usize,
-    ) -> Result<()> {
+    /// `accumulate_scale_factors`; skipped together with a deferred reset
+    /// when the pair would recreate the cumulative buffer's content.
+    fn accumulate_scale(&mut self, scale_indices: &[usize], cumulative: usize) -> Result<()> {
         // A pending reset of one of the *source* buffers must land first.
         let sources: Vec<usize> = scale_indices
             .iter()
@@ -982,13 +732,17 @@ impl BeagleInstance for MemoInstance {
         }
     }
 
-    fn integrate_root(
+    /// Signature of a root integration at `parent` (`edge = None`) or an
+    /// edge integration from `parent` to `edge = (child, matrix)`. Lands a
+    /// deferred reset of the cumulative scale buffer first.
+    fn integration_sig(
         &mut self,
-        root: BufferId,
+        parent: BufferId,
+        edge: Option<(BufferId, BufferId)>,
         category_weights: BufferId,
         frequencies: BufferId,
         scaling: ScalingMode,
-    ) -> Result<f64> {
+    ) -> Result<IntegrationSig> {
         let scale_epoch = match scaling {
             ScalingMode::None => 0,
             ScalingMode::Cumulative(c) => {
@@ -996,11 +750,17 @@ impl BeagleInstance for MemoInstance {
                 epoch_at(&self.scale_epoch, c.0)
             }
         };
-        let sig = IntegrationSig {
-            edge: false,
-            buffers: [root.0, usize::MAX, usize::MAX],
-            part_epochs: [epoch_at(&self.partials_epoch, root.0), 0],
-            matrix_epoch: 0,
+        // A root integration has no child or matrix: the sentinel index
+        // reads epoch 0.
+        let (child, matrix) = edge.map_or((usize::MAX, usize::MAX), |(c, m)| (c.0, m.0));
+        Ok(IntegrationSig {
+            edge: edge.is_some(),
+            buffers: [parent.0, child, matrix],
+            part_epochs: [
+                epoch_at(&self.partials_epoch, parent.0),
+                epoch_at(&self.partials_epoch, child),
+            ],
+            matrix_epoch: epoch_at(&self.matrix_epoch, matrix),
             catw: (
                 category_weights.0,
                 epoch_at(&self.catw_epoch, category_weights.0),
@@ -1009,30 +769,132 @@ impl BeagleInstance for MemoInstance {
             pattern_weights_epoch: self.pattern_weights_epoch,
             scaling,
             scale_epoch,
-        };
-        if self.enabled {
-            if let Some((cached, value)) = &self.last_integration {
-                if cached == &sig {
-                    let v = *value;
-                    self.stats.integrations_skipped += 1;
-                    if self.recorder.is_enabled() {
-                        self.recorder.event(EventKind::IncrementalSkip, || {
-                            format!("root integration at buffer {root} -> {v}")
-                        });
-                    }
-                    return Ok(v);
-                }
+        })
+    }
+
+    /// Answer an integration with signature `sig` from the cached value, or
+    /// run it and cache a finite result.
+    fn integrate_memo(
+        &mut self,
+        sig: IntegrationSig,
+        what: impl FnOnce() -> String,
+        integrate: impl FnOnce(&mut dyn BeagleInstance) -> Result<f64>,
+    ) -> Result<f64> {
+        if let Some((cached, value)) = &self.last_integration {
+            if self.enabled && cached == &sig {
+                let v = *value;
+                self.stats.integrations_skipped += 1;
+                self.recorder
+                    .event(EventKind::IncrementalSkip, || format!("{} -> {v}", what()));
+                return Ok(v);
             }
         }
         self.stats.integrations_computed += 1;
-        let r = self
-            .inner
-            .integrate_root(root, category_weights, frequencies, scaling);
+        let r = integrate(self.inner.as_mut());
         self.last_integration = match &r {
             Ok(v) if v.is_finite() => Some((sig, *v)),
             _ => None,
         };
         r
+    }
+}
+
+impl BeagleInstance for MemoInstance {
+    fn details(&self) -> &InstanceDetails {
+        self.inner.details()
+    }
+
+    fn config(&self) -> &InstanceConfig {
+        self.inner.config()
+    }
+
+    fn inner(&self) -> Option<&dyn BeagleInstance> {
+        Some(self.inner.as_ref())
+    }
+
+    fn inner_mut(&mut self) -> Option<&mut dyn BeagleInstance> {
+        Some(self.inner.as_mut())
+    }
+
+    fn recorder(&self) -> Option<&Recorder> {
+        Some(&self.recorder)
+    }
+
+    fn recorder_mut(&mut self) -> Option<&mut Recorder> {
+        Some(&mut self.recorder)
+    }
+
+    fn call(&mut self, call: Call<'_>) -> Result<()> {
+        if let Some((key, content)) = SetKey::of(&call) {
+            return self.set_direct(key, content, &call);
+        }
+        match call {
+            Call::UpdatePartials(ops) => self.run_partials(std::slice::from_ref(&ops), false),
+            Call::UpdatePartialsByLevels(levels) => self.run_partials(&levels, true),
+            Call::UpdateTransitionMatrices(eigen, matrices, lengths) => {
+                self.update_matrices(eigen, &matrices, &lengths)
+            }
+            Call::UpdateTransitionDerivatives(_, ref matrices, ref d1, ref d2, _) => {
+                // Derivative buffers are not modeled by signatures;
+                // invalidate every written matrix so nothing downstream is
+                // ever falsely skipped.
+                let r = call.apply(self.inner.as_mut());
+                for &idx in matrices.iter().chain(d1.iter()).chain(d2.iter()) {
+                    self.poison_matrix(idx);
+                }
+                r
+            }
+            Call::ResetScaleFactors(cumulative) => self.reset_scale(cumulative),
+            Call::AccumulateScaleFactors(indices, cumulative) => {
+                self.accumulate_scale(&indices, cumulative)
+            }
+            _ => unreachable!("direct writes are deduplicated above"),
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn integrate_edge_derivatives(
+        &mut self,
+        parent: BufferId,
+        child: BufferId,
+        matrix: BufferId,
+        d1_matrix: BufferId,
+        d2_matrix: BufferId,
+        category_weights: BufferId,
+        frequencies: BufferId,
+        scaling: ScalingMode,
+    ) -> Result<(f64, f64, f64)> {
+        if let ScalingMode::Cumulative(c) = scaling {
+            self.flush_resets_among(&[c.0])?;
+        }
+        // Overwrites the back-end's site-likelihood state; drop the cached
+        // integration so a later identical root/edge call re-executes.
+        self.last_integration = None;
+        self.inner.integrate_edge_derivatives(
+            parent,
+            child,
+            matrix,
+            d1_matrix,
+            d2_matrix,
+            category_weights,
+            frequencies,
+            scaling,
+        )
+    }
+
+    fn integrate_root(
+        &mut self,
+        root: BufferId,
+        category_weights: BufferId,
+        frequencies: BufferId,
+        scaling: ScalingMode,
+    ) -> Result<f64> {
+        let sig = self.integration_sig(root, None, category_weights, frequencies, scaling)?;
+        self.integrate_memo(
+            sig,
+            || format!("root integration at buffer {root}"),
+            |inner| inner.integrate_root(root, category_weights, frequencies, scaling),
+        )
     }
 
     fn integrate_edge(
@@ -1044,82 +906,27 @@ impl BeagleInstance for MemoInstance {
         frequencies: BufferId,
         scaling: ScalingMode,
     ) -> Result<f64> {
-        let scale_epoch = match scaling {
-            ScalingMode::None => 0,
-            ScalingMode::Cumulative(c) => {
-                self.flush_resets_among(&[c.0])?;
-                epoch_at(&self.scale_epoch, c.0)
-            }
-        };
-        let sig = IntegrationSig {
-            edge: true,
-            buffers: [parent.0, child.0, matrix.0],
-            part_epochs: [
-                epoch_at(&self.partials_epoch, parent.0),
-                epoch_at(&self.partials_epoch, child.0),
-            ],
-            matrix_epoch: epoch_at(&self.matrix_epoch, matrix.0),
-            catw: (
-                category_weights.0,
-                epoch_at(&self.catw_epoch, category_weights.0),
-            ),
-            freq: (frequencies.0, epoch_at(&self.freq_epoch, frequencies.0)),
-            pattern_weights_epoch: self.pattern_weights_epoch,
-            scaling,
-            scale_epoch,
-        };
-        if self.enabled {
-            if let Some((cached, value)) = &self.last_integration {
-                if cached == &sig {
-                    let v = *value;
-                    self.stats.integrations_skipped += 1;
-                    if self.recorder.is_enabled() {
-                        self.recorder.event(EventKind::IncrementalSkip, || {
-                            format!("edge integration {parent}->{child} -> {v}")
-                        });
-                    }
-                    return Ok(v);
-                }
-            }
-        }
-        self.stats.integrations_computed += 1;
-        let r = self.inner.integrate_edge(
+        let sig = self.integration_sig(
             parent,
-            child,
-            matrix,
+            Some((child, matrix)),
             category_weights,
             frequencies,
             scaling,
-        );
-        self.last_integration = match &r {
-            Ok(v) if v.is_finite() => Some((sig, *v)),
-            _ => None,
-        };
-        r
-    }
-
-    fn get_site_log_likelihoods(&self) -> Result<Vec<f64>> {
-        self.inner.get_site_log_likelihoods()
-    }
-
-    fn wait_for_computation(&mut self) -> Result<()> {
-        self.inner.wait_for_computation()
-    }
-
-    fn simulated_time(&self) -> Option<std::time::Duration> {
-        self.inner.simulated_time()
-    }
-
-    fn reset_simulated_time(&mut self) {
-        self.inner.reset_simulated_time()
-    }
-
-    fn peek_simulated_time(&self) -> Option<std::time::Duration> {
-        self.inner.peek_simulated_time()
-    }
-
-    fn queue_stats(&self) -> Option<crate::queue::QueueStats> {
-        self.inner.queue_stats()
+        )?;
+        self.integrate_memo(
+            sig,
+            || format!("edge integration {parent}->{child}"),
+            |inner| {
+                inner.integrate_edge(
+                    parent,
+                    child,
+                    matrix,
+                    category_weights,
+                    frequencies,
+                    scaling,
+                )
+            },
+        )
     }
 
     fn statistics(&self) -> Option<obs::InstanceStats> {
@@ -1132,18 +939,6 @@ impl BeagleInstance for MemoInstance {
         stats.integrations_skipped += self.stats.integrations_skipped;
         stats.sets_deduped += self.stats.sets_deduped + self.stats.scale_pairs_skipped;
         Some(stats)
-    }
-
-    fn take_journal(&mut self) -> Vec<obs::Event> {
-        obs::merge_journals(self.inner.take_journal(), self.recorder.take_journal())
-    }
-
-    fn set_deadline(&mut self, deadline: Option<crate::deadline::Deadline>) {
-        self.inner.set_deadline(deadline);
-    }
-
-    fn checkpoint(&mut self) -> Option<crate::checkpoint::Checkpoint> {
-        self.inner.checkpoint()
     }
 
     fn set_incremental(&mut self, enabled: bool) {

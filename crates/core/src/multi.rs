@@ -3,7 +3,7 @@
 //!
 //! The paper's conclusion describes this as the next step: "the improvements
 //! described in this paper also allow users to execute in parallel on
-//! multiple devices within a system, [but] this requires the client program
+//! multiple devices within a system, \[but\] this requires the client program
 //! to partition the problem across site patterns and create a separate
 //! library instance for each hardware device. We plan to further develop
 //! BEAGLE so that computation can be dynamically load balanced across
@@ -41,6 +41,7 @@ use std::time::{Duration, Instant};
 
 use crate::api::{BeagleInstance, BufferId, InstanceConfig, InstanceDetails, ScalingMode};
 use crate::balance::{BalancerConfig, LoadBalancer, PATTERN_STRIDE};
+use crate::call::Call;
 use crate::checkpoint::{Checkpoint, Provenance};
 use crate::deadline::Deadline;
 use crate::error::{BeagleError, Result};
@@ -48,8 +49,10 @@ use crate::flags::Flags;
 use crate::health::{BreakerState, Outcome};
 use crate::journal::StateJournal;
 use crate::manager::ImplementationManager;
+use crate::memo::MemoStats;
 use crate::obs::{self, EventKind, Recorder};
 use crate::ops::Operation;
+use crate::queue::QueueStats;
 use crate::spec::InstanceSpec;
 
 /// How transient child failures are retried before escalating to eviction.
@@ -678,25 +681,6 @@ impl PartitionedInstance {
         total
     }
 
-    /// Extract child `i`'s `[category][pattern][state]` sub-buffer from a
-    /// full-problem buffer with `per_pattern` values per pattern.
-    fn slice_blocked(
-        &self,
-        i: usize,
-        data: &[f64],
-        per_pattern: usize,
-        categories: usize,
-    ) -> Vec<f64> {
-        let (p0, p1) = self.ranges[i];
-        let n_pat = self.config.pattern_count;
-        let mut out = Vec::with_capacity(categories * (p1 - p0) * per_pattern);
-        for c in 0..categories {
-            let base = (c * n_pat + p0) * per_pattern;
-            out.extend_from_slice(&data[base..base + (p1 - p0) * per_pattern]);
-        }
-        out
-    }
-
     /// Run `call` on child `i`, retrying transient failures with bounded
     /// exponential backoff (full-jittered when the policy asks for it).
     fn call_with_retry(
@@ -865,7 +849,7 @@ impl PartitionedInstance {
     /// fan-out is complete without re-running `call`.
     fn fan_out_recorded(
         &mut self,
-        mut call: impl FnMut(usize, (usize, usize), &mut dyn BeagleInstance) -> Result<()>,
+        mut call: impl FnMut((usize, usize), &mut dyn BeagleInstance) -> Result<()>,
     ) -> Result<()> {
         let mut failure: Option<(usize, BeagleError)> = None;
         for i in 0..self.parts.len() {
@@ -877,7 +861,7 @@ impl PartitionedInstance {
                 &mut self.rng,
                 &mut self.retry_counts[i],
                 self.parts[i].as_mut(),
-                |p| call(i, range, p),
+                |p| call(range, p),
             );
             let retries = self.retry_counts[i] - before;
             if retries > 0 {
@@ -904,154 +888,13 @@ impl PartitionedInstance {
         // to every surviving child, completing this fan-out.
         self.evict_and_rebuild(i, e)
     }
-}
 
-impl BeagleInstance for PartitionedInstance {
-    fn details(&self) -> &InstanceDetails {
-        &self.details
-    }
-
-    fn config(&self) -> &InstanceConfig {
-        &self.config
-    }
-
-    fn set_tip_states(&mut self, tip: usize, states: &[u32]) -> Result<()> {
-        if states.len() != self.config.pattern_count {
-            return Err(BeagleError::DimensionMismatch {
-                what: "tip states",
-                expected: self.config.pattern_count,
-                got: states.len(),
-            });
-        }
-        self.journal.record_tip_states(tip, states);
-        self.fan_out_recorded(|_, (p0, p1), part| part.set_tip_states(tip, &states[p0..p1]))
-    }
-
-    fn set_tip_partials(&mut self, tip: usize, partials: &[f64]) -> Result<()> {
-        let per = self.config.state_count;
-        if partials.len() != self.config.pattern_count * per {
-            return Err(BeagleError::DimensionMismatch {
-                what: "tip partials",
-                expected: self.config.pattern_count * per,
-                got: partials.len(),
-            });
-        }
-        self.journal.record_tip_partials(tip, partials);
-        self.fan_out_recorded(|_, (p0, p1), part| {
-            part.set_tip_partials(tip, &partials[p0 * per..p1 * per])
-        })
-    }
-
-    fn set_partials(&mut self, buffer: usize, partials: &[f64]) -> Result<()> {
-        if partials.len() != self.config.partials_len() {
-            return Err(BeagleError::DimensionMismatch {
-                what: "partials",
-                expected: self.config.partials_len(),
-                got: partials.len(),
-            });
-        }
-        self.journal.record_partials(buffer, partials);
-        let chunks: Vec<Vec<f64>> = (0..self.parts.len())
-            .map(|i| {
-                self.slice_blocked(
-                    i,
-                    partials,
-                    self.config.state_count,
-                    self.config.category_count,
-                )
-            })
-            .collect();
-        self.fan_out_recorded(|i, _, part| part.set_partials(buffer, &chunks[i]))
-    }
-
-    fn get_partials(&self, buffer: usize) -> Result<Vec<f64>> {
-        // Re-interleave children's [cat][pattern][state] blocks.
-        let s = self.config.state_count;
-        let n_pat = self.config.pattern_count;
-        let n_cat = self.config.category_count;
-        let mut out = vec![0.0; self.config.partials_len()];
-        for (i, part) in self.parts.iter().enumerate() {
-            let sub = part.get_partials(buffer)?;
-            let (p0, p1) = self.ranges[i];
-            let width = (p1 - p0) * s;
-            for c in 0..n_cat {
-                let dst = (c * n_pat + p0) * s;
-                out[dst..dst + width].copy_from_slice(&sub[c * width..(c + 1) * width]);
-            }
-        }
-        Ok(out)
-    }
-
-    fn set_pattern_weights(&mut self, weights: &[f64]) -> Result<()> {
-        if weights.len() != self.config.pattern_count {
-            return Err(BeagleError::DimensionMismatch {
-                what: "pattern weights",
-                expected: self.config.pattern_count,
-                got: weights.len(),
-            });
-        }
-        self.journal.record_pattern_weights(weights);
-        self.fan_out_recorded(|_, (p0, p1), part| part.set_pattern_weights(&weights[p0..p1]))
-    }
-
-    fn set_state_frequencies(&mut self, index: usize, frequencies: &[f64]) -> Result<()> {
-        self.journal.record_frequencies(index, frequencies);
-        self.fan_out_recorded(|_, _, part| part.set_state_frequencies(index, frequencies))
-    }
-
-    fn set_category_rates(&mut self, rates: &[f64]) -> Result<()> {
-        self.journal.record_category_rates(rates);
-        self.fan_out_recorded(|_, _, part| part.set_category_rates(rates))
-    }
-
-    fn set_category_weights(&mut self, index: usize, weights: &[f64]) -> Result<()> {
-        self.journal.record_category_weights(index, weights);
-        self.fan_out_recorded(|_, _, part| part.set_category_weights(index, weights))
-    }
-
-    fn set_eigen_decomposition(
-        &mut self,
-        index: usize,
-        vectors: &[f64],
-        inverse_vectors: &[f64],
-        values: &[f64],
-    ) -> Result<()> {
-        self.journal
-            .record_eigen(index, vectors, inverse_vectors, values);
-        self.fan_out_recorded(|_, _, part| {
-            part.set_eigen_decomposition(index, vectors, inverse_vectors, values)
-        })
-    }
-
-    fn update_transition_matrices(
-        &mut self,
-        eigen_index: usize,
-        matrix_indices: &[usize],
-        branch_lengths: &[f64],
-    ) -> Result<()> {
-        self.journal
-            .record_matrix_updates(eigen_index, matrix_indices, branch_lengths);
-        self.fan_out_recorded(|_, _, part| {
-            part.update_transition_matrices(eigen_index, matrix_indices, branch_lengths)
-        })
-    }
-
-    fn set_transition_matrix(&mut self, index: usize, matrix: &[f64]) -> Result<()> {
-        self.journal.record_matrix(index, matrix);
-        self.fan_out_recorded(|_, _, part| part.set_transition_matrix(index, matrix))
-    }
-
-    fn get_transition_matrix(&self, index: usize) -> Result<Vec<f64>> {
-        self.parts[0].get_transition_matrix(index)
-    }
-
-    fn update_partials(&mut self, operations: &[Operation]) -> Result<()> {
-        self.journal.record_operations(operations);
-        // The payoff: every device computes its pattern slice concurrently.
-        // Each child's elapsed time — modeled device time when it simulates
-        // one (injected stalls charge the simulated clock, not the wall),
-        // wall time otherwise — doubles as the load balancer's throughput
-        // sample for that child.
+    /// Run journaled `operations` on every child. The payoff: every device
+    /// computes its pattern slice concurrently. Each child's elapsed time —
+    /// modeled device time when it simulates one (injected stalls charge the
+    /// simulated clock, not the wall), wall time otherwise — doubles as the
+    /// load balancer's throughput sample for that child.
+    fn run_partials(&mut self, operations: &[Operation]) -> Result<()> {
         let mut results: Vec<(Result<()>, Duration)> = Vec::new();
         std::thread::scope(|scope| {
             let handles: Vec<_> = self
@@ -1139,27 +982,11 @@ impl BeagleInstance for PartitionedInstance {
         self.evict_and_rebuild(i, e)
     }
 
-    fn reset_scale_factors(&mut self, cumulative: usize) -> Result<()> {
-        self.journal.record_scale_reset(cumulative);
-        self.fan_out_recorded(|_, _, part| part.reset_scale_factors(cumulative))
-    }
-
-    fn accumulate_scale_factors(
+    /// Run a root or edge integration on every child with retry and
+    /// eviction, then reduce the site log-likelihoods in pattern order.
+    fn integrate_all(
         &mut self,
-        scale_indices: &[usize],
-        cumulative: usize,
-    ) -> Result<()> {
-        self.journal
-            .record_scale_accumulation(scale_indices, cumulative);
-        self.fan_out_recorded(|_, _, part| part.accumulate_scale_factors(scale_indices, cumulative))
-    }
-
-    fn integrate_root(
-        &mut self,
-        root: BufferId,
-        category_weights: BufferId,
-        frequencies: BufferId,
-        scaling: ScalingMode,
+        integrate: impl Fn(&mut dyn BeagleInstance) -> Result<f64>,
     ) -> Result<f64> {
         // Integration is not journaled (it writes no instance state), so on
         // eviction the whole reduction restarts against the rebuilt
@@ -1178,10 +1005,7 @@ impl BeagleInstance for PartitionedInstance {
                     &mut self.rng,
                     &mut self.retry_counts[i],
                     self.parts[i].as_mut(),
-                    |p| {
-                        p.integrate_root(root, category_weights, frequencies, scaling)?;
-                        Ok(())
-                    },
+                    |p| integrate(p).map(drop),
                 );
                 let wall = t0.elapsed();
                 let retries = self.retry_counts[i] - before;
@@ -1223,6 +1047,88 @@ impl BeagleInstance for PartitionedInstance {
         unreachable!("eviction loop is bounded by the child count");
     }
 
+    /// Fold a per-child counter block across the children that report one.
+    fn merged<T>(
+        &self,
+        stats: impl Fn(&dyn BeagleInstance) -> Option<T>,
+        merge: impl Fn(&mut T, &T),
+    ) -> Option<T> {
+        let mut children = self.parts.iter().filter_map(|p| stats(p.as_ref()));
+        let mut agg = children.next()?;
+        for s in children {
+            merge(&mut agg, &s);
+        }
+        Some(agg)
+    }
+}
+
+impl BeagleInstance for PartitionedInstance {
+    fn details(&self) -> &InstanceDetails {
+        &self.details
+    }
+
+    fn config(&self) -> &InstanceConfig {
+        &self.config
+    }
+
+    /// Validate, journal, and fan the call out to every child, each seeing
+    /// its own pattern slice ([`Call::slice_patterns`]); partials
+    /// operations run on all children concurrently.
+    fn call(&mut self, call: Call<'_>) -> Result<()> {
+        match &call {
+            Call::UpdatePartialsByLevels(levels) => {
+                return levels
+                    .iter()
+                    .try_for_each(|level| self.update_partials(level));
+            }
+            // Derivative reductions across pattern slices are not
+            // implemented; refuse before anything is journaled.
+            Call::UpdateTransitionDerivatives(..) => {
+                return Err(call.unsupported(&self.details));
+            }
+            _ => {}
+        }
+        call.check_patterns(&self.config)?;
+        self.journal.record(&call);
+        if let Call::UpdatePartials(operations) = &call {
+            return self.run_partials(operations);
+        }
+        let config = self.config;
+        self.fan_out_recorded(|(p0, p1), part| call.slice_patterns(p0, p1, &config).apply(part))
+    }
+
+    fn get_partials(&self, buffer: usize) -> Result<Vec<f64>> {
+        // Re-interleave children's [cat][pattern][state] blocks.
+        let s = self.config.state_count;
+        let n_pat = self.config.pattern_count;
+        let n_cat = self.config.category_count;
+        let mut out = vec![0.0; self.config.partials_len()];
+        for (i, part) in self.parts.iter().enumerate() {
+            let sub = part.get_partials(buffer)?;
+            let (p0, p1) = self.ranges[i];
+            let width = (p1 - p0) * s;
+            for c in 0..n_cat {
+                let dst = (c * n_pat + p0) * s;
+                out[dst..dst + width].copy_from_slice(&sub[c * width..(c + 1) * width]);
+            }
+        }
+        Ok(out)
+    }
+
+    fn get_transition_matrix(&self, index: usize) -> Result<Vec<f64>> {
+        self.parts[0].get_transition_matrix(index)
+    }
+
+    fn integrate_root(
+        &mut self,
+        root: BufferId,
+        category_weights: BufferId,
+        frequencies: BufferId,
+        scaling: ScalingMode,
+    ) -> Result<f64> {
+        self.integrate_all(|p| p.integrate_root(root, category_weights, frequencies, scaling))
+    }
+
     fn integrate_edge(
         &mut self,
         parent: BufferId,
@@ -1232,66 +1138,22 @@ impl BeagleInstance for PartitionedInstance {
         frequencies: BufferId,
         scaling: ScalingMode,
     ) -> Result<f64> {
-        'round: for _ in 0..=self.parts.len() {
-            let mut observations: Vec<(usize, Duration)> = Vec::with_capacity(self.parts.len());
-            for i in 0..self.parts.len() {
-                let retry = self.retry;
-                let before = self.retry_counts[i];
-                // Peek so a queued child's pending batch flushes *inside*
-                // the timed integrate below, not here.
-                let sim0 = self.parts[i].peek_simulated_time();
-                let t0 = Instant::now();
-                let r = Self::call_with_retry(
-                    retry,
-                    &mut self.rng,
-                    &mut self.retry_counts[i],
-                    self.parts[i].as_mut(),
-                    |p| {
-                        p.integrate_edge(
-                            parent,
-                            child,
-                            matrix,
-                            category_weights,
-                            frequencies,
-                            scaling,
-                        )?;
-                        Ok(())
-                    },
-                );
-                let wall = t0.elapsed();
-                let retries = self.retry_counts[i] - before;
-                if retries > 0 {
-                    self.recorder.event(EventKind::FailoverRetry, || {
-                        format!("child={i} retries={retries} ok={}", r.is_ok())
-                    });
-                }
-                if let Err(e) = r {
-                    if !is_evictable(&e) {
-                        return Err(e);
-                    }
-                    self.evict_and_rebuild(i, e)?;
-                    continue 'round;
-                }
-                if retries == 0 {
-                    let elapsed = self.parts[i]
-                        .peek_simulated_time()
-                        .zip(sim0)
-                        .map(|(t1, t0)| t1.saturating_sub(t0))
-                        .filter(|d| !d.is_zero())
-                        .unwrap_or(wall);
-                    observations.push((i, elapsed));
-                }
-                let resource = self.parts[i].details().implementation_name.clone();
-                self.note_health(&resource, Outcome::Success);
-                let (p0, p1) = self.ranges[i];
-                self.site_lnl[p0..p1].copy_from_slice(&self.parts[i].get_site_log_likelihoods()?);
-            }
-            let total = self.reduce_total();
-            self.observe_batch(observations);
-            self.maybe_rebalance();
-            return Ok(total);
-        }
-        unreachable!("eviction loop is bounded by the child count");
+        self.integrate_all(|p| {
+            p.integrate_edge(
+                parent,
+                child,
+                matrix,
+                category_weights,
+                frequencies,
+                scaling,
+            )
+        })
+    }
+
+    fn wait_for_computation(&mut self) -> Result<()> {
+        // Queued children hold journaled work; a child that dies while
+        // draining it is evicted and rebuilt like any other fan-out.
+        self.fan_out_recorded(|_, part| part.wait_for_computation())
     }
 
     fn get_site_log_likelihoods(&self) -> Result<Vec<f64>> {
@@ -1383,17 +1245,12 @@ impl BeagleInstance for PartitionedInstance {
         }
     }
 
-    fn memo_stats(&self) -> Option<crate::memo::MemoStats> {
-        let mut agg: Option<crate::memo::MemoStats> = None;
-        for p in &self.parts {
-            if let Some(s) = p.memo_stats() {
-                match &mut agg {
-                    Some(a) => a.merge(&s),
-                    None => agg = Some(s),
-                }
-            }
-        }
-        agg
+    fn queue_stats(&self) -> Option<QueueStats> {
+        self.merged(|p| p.queue_stats(), QueueStats::merge)
+    }
+
+    fn memo_stats(&self) -> Option<MemoStats> {
+        self.merged(|p| p.memo_stats(), MemoStats::merge)
     }
 }
 

@@ -34,8 +34,10 @@
 //!
 //! Deferred-error semantics: enqueueing never fails, so argument errors
 //! (bad index, wrong length) surface at the flush point — the call that
-//! demanded the result. A flush aborts at the first error and discards the
-//! rest of the queue.
+//! demanded the result. A flush aborts at the first error but discards
+//! nothing: the whole queue, calls already applied included, stays pending
+//! in order, so a failover layer above that retries the demanding call
+//! re-submits all of it (replay is idempotent).
 //!
 //! Interaction with the load balancer
 //! ([`crate::balance::LoadBalancer`]): when a partitioned child is queued,
@@ -52,6 +54,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use parking_lot::Mutex;
 
 use crate::api::{BeagleInstance, BufferId, InstanceConfig, InstanceDetails, ScalingMode};
+use crate::call::Call;
 use crate::error::Result;
 use crate::flags::Flags;
 use crate::obs::{self, EventKind, KernelClass, Recorder};
@@ -79,6 +82,22 @@ pub struct QueueStats {
     pub eigen_cache_invalidations: u64,
     /// Entries dropped because the cache reached capacity.
     pub eigen_cache_evictions: u64,
+}
+
+impl QueueStats {
+    /// Fold another queue's counters into this one (used by
+    /// [`crate::multi::PartitionedInstance`] to aggregate across children).
+    pub(crate) fn merge(&mut self, other: &QueueStats) {
+        self.flushes += other.flushes;
+        self.batches_submitted += other.batches_submitted;
+        self.levels_submitted += other.levels_submitted;
+        self.ops_enqueued += other.ops_enqueued;
+        self.ops_submitted += other.ops_submitted;
+        self.eigen_cache_hits += other.eigen_cache_hits;
+        self.eigen_cache_misses += other.eigen_cache_misses;
+        self.eigen_cache_invalidations += other.eigen_cache_invalidations;
+        self.eigen_cache_evictions += other.eigen_cache_evictions;
+    }
 }
 
 /// Default bound on cached transition matrices. An MCMC run proposes a new
@@ -214,56 +233,9 @@ impl EigenCache {
     }
 }
 
-/// One deferred API call.
-enum Pending {
-    TipStates {
-        tip: usize,
-        states: Vec<u32>,
-    },
-    TipPartials {
-        tip: usize,
-        partials: Vec<f64>,
-    },
-    Partials {
-        buffer: usize,
-        partials: Vec<f64>,
-    },
-    PatternWeights(Vec<f64>),
-    StateFrequencies {
-        index: usize,
-        frequencies: Vec<f64>,
-    },
-    CategoryRates(Vec<f64>),
-    CategoryWeights {
-        index: usize,
-        weights: Vec<f64>,
-    },
-    Eigen {
-        index: usize,
-        vectors: Vec<f64>,
-        inverse_vectors: Vec<f64>,
-        values: Vec<f64>,
-    },
-    Matrices {
-        eigen_index: usize,
-        matrix_indices: Vec<usize>,
-        branch_lengths: Vec<f64>,
-    },
-    SetMatrix {
-        index: usize,
-        matrix: Vec<f64>,
-    },
-    UpdatePartials(Vec<Operation>),
-    ResetScale(usize),
-    AccumulateScale {
-        scale_indices: Vec<usize>,
-        cumulative: usize,
-    },
-}
-
 struct State {
     inner: Box<dyn BeagleInstance>,
-    pending: Vec<Pending>,
+    pending: Vec<Call<'static>>,
     cache: EigenCache,
     stats: QueueStats,
     recorder: Recorder,
@@ -309,15 +281,29 @@ impl State {
         result
     }
 
-    fn run_pending(&mut self, pending: &[Pending]) -> Result<()> {
+    /// Replay deferred calls in order: runs of `update_partials` merge into
+    /// leveled batches, eigen and rate updates refresh the cache's
+    /// invalidation keys, and matrix updates go through the cache.
+    fn run_pending(&mut self, pending: &[Call<'static>]) -> Result<()> {
         let mut batch: Vec<Operation> = Vec::new();
         for item in pending {
-            if let Pending::UpdatePartials(ops) = item {
+            if let Call::UpdatePartials(ops) = item {
                 batch.extend(ops.iter().copied());
-            } else {
-                self.submit_batch(&mut batch)?;
-                self.apply(item)?;
+                continue;
             }
+            self.submit_batch(&mut batch)?;
+            match item {
+                Call::SetCategoryRates(rates) => self.cache.note_rates(rates),
+                Call::SetEigenDecomposition(i, vectors, inverse, values) => {
+                    self.cache.note_eigen(*i, vectors, inverse, values)
+                }
+                Call::UpdateTransitionMatrices(eigen, matrices, lengths) => {
+                    self.apply_matrices(*eigen, matrices, lengths)?;
+                    continue;
+                }
+                _ => {}
+            }
+            item.apply(self.inner.as_mut())?;
         }
         self.submit_batch(&mut batch)
     }
@@ -339,52 +325,6 @@ impl State {
         }
         batch.clear();
         Ok(())
-    }
-
-    fn apply(&mut self, item: &Pending) -> Result<()> {
-        match item {
-            Pending::TipStates { tip, states } => self.inner.set_tip_states(*tip, states),
-            Pending::TipPartials { tip, partials } => self.inner.set_tip_partials(*tip, partials),
-            Pending::Partials { buffer, partials } => self.inner.set_partials(*buffer, partials),
-            Pending::PatternWeights(w) => self.inner.set_pattern_weights(w),
-            Pending::StateFrequencies { index, frequencies } => {
-                self.inner.set_state_frequencies(*index, frequencies)
-            }
-            Pending::CategoryRates(rates) => {
-                self.cache.note_rates(rates);
-                self.inner.set_category_rates(rates)
-            }
-            Pending::CategoryWeights { index, weights } => {
-                self.inner.set_category_weights(*index, weights)
-            }
-            Pending::Eigen {
-                index,
-                vectors,
-                inverse_vectors,
-                values,
-            } => {
-                self.cache
-                    .note_eigen(*index, vectors, inverse_vectors, values);
-                self.inner
-                    .set_eigen_decomposition(*index, vectors, inverse_vectors, values)
-            }
-            Pending::Matrices {
-                eigen_index,
-                matrix_indices,
-                branch_lengths,
-            } => self.apply_matrices(*eigen_index, matrix_indices, branch_lengths),
-            Pending::SetMatrix { index, matrix } => {
-                self.inner.set_transition_matrix(*index, matrix)
-            }
-            Pending::UpdatePartials(_) => unreachable!("handled by the batch path"),
-            Pending::ResetScale(c) => self.inner.reset_scale_factors(*c),
-            Pending::AccumulateScale {
-                scale_indices,
-                cumulative,
-            } => self
-                .inner
-                .accumulate_scale_factors(scale_indices, *cumulative),
-        }
     }
 
     /// Cache-mediated `update_transition_matrices`: hits re-install the
@@ -493,8 +433,21 @@ impl QueuedInstance {
         self.state.into_inner().inner
     }
 
-    fn enqueue(&mut self, item: Pending) {
-        self.state.get_mut().pending.push(item);
+    /// Flush, then answer a read from the back-end.
+    fn flushed<T>(&self, read: impl FnOnce(&dyn BeagleInstance) -> Result<T>) -> Result<T> {
+        let mut st = self.state.lock();
+        st.flush()?;
+        read(st.inner.as_ref())
+    }
+
+    /// Flush, then run a result-demanding call on the back-end.
+    fn flushed_mut<T>(
+        &mut self,
+        run: impl FnOnce(&mut dyn BeagleInstance) -> Result<T>,
+    ) -> Result<T> {
+        let st = self.state.get_mut();
+        st.flush()?;
+        run(st.inner.as_mut())
     }
 }
 
@@ -507,111 +460,42 @@ impl BeagleInstance for QueuedInstance {
         &self.config
     }
 
-    fn set_tip_states(&mut self, tip: usize, states: &[u32]) -> Result<()> {
-        self.enqueue(Pending::TipStates {
-            tip,
-            states: states.to_vec(),
-        });
-        Ok(())
+    /// Exclusive access needs no lock; shared access ([`Self::inner`])
+    /// would, so it stays `None` and the `&self` reads below flush through
+    /// the lock themselves.
+    fn inner_mut(&mut self) -> Option<&mut dyn BeagleInstance> {
+        Some(self.state.get_mut().inner.as_mut())
     }
 
-    fn set_tip_partials(&mut self, tip: usize, partials: &[f64]) -> Result<()> {
-        self.enqueue(Pending::TipPartials {
-            tip,
-            partials: partials.to_vec(),
-        });
-        Ok(())
+    fn recorder_mut(&mut self) -> Option<&mut Recorder> {
+        Some(&mut self.state.get_mut().recorder)
     }
 
-    fn set_partials(&mut self, buffer: usize, partials: &[f64]) -> Result<()> {
-        self.enqueue(Pending::Partials {
-            buffer,
-            partials: partials.to_vec(),
-        });
+    /// Enqueue the call; it reaches the back-end at the next flush.
+    fn call(&mut self, call: Call<'_>) -> Result<()> {
+        let st = self.state.get_mut();
+        let call = match call {
+            // Derivative matrices are not cached (three coupled outputs per
+            // branch); flush so prior eigen/rate updates are visible, then
+            // run.
+            Call::UpdateTransitionDerivatives(..) => {
+                st.flush()?;
+                return call.apply(st.inner.as_mut());
+            }
+            // Pre-leveled work joins the queue as one flat traversal; the
+            // flush re-levels it together with its neighbours.
+            Call::UpdatePartialsByLevels(levels) => Call::UpdatePartials(levels.concat().into()),
+            call => call.into_owned(),
+        };
+        if let Call::UpdatePartials(ops) = &call {
+            st.stats.ops_enqueued += ops.len() as u64;
+        }
+        st.pending.push(call);
         Ok(())
     }
 
     fn get_partials(&self, buffer: usize) -> Result<Vec<f64>> {
-        let mut st = self.state.lock();
-        st.flush()?;
-        st.inner.get_partials(buffer)
-    }
-
-    fn set_pattern_weights(&mut self, weights: &[f64]) -> Result<()> {
-        self.enqueue(Pending::PatternWeights(weights.to_vec()));
-        Ok(())
-    }
-
-    fn set_state_frequencies(&mut self, index: usize, frequencies: &[f64]) -> Result<()> {
-        self.enqueue(Pending::StateFrequencies {
-            index,
-            frequencies: frequencies.to_vec(),
-        });
-        Ok(())
-    }
-
-    fn set_category_rates(&mut self, rates: &[f64]) -> Result<()> {
-        self.enqueue(Pending::CategoryRates(rates.to_vec()));
-        Ok(())
-    }
-
-    fn set_category_weights(&mut self, index: usize, weights: &[f64]) -> Result<()> {
-        self.enqueue(Pending::CategoryWeights {
-            index,
-            weights: weights.to_vec(),
-        });
-        Ok(())
-    }
-
-    fn set_eigen_decomposition(
-        &mut self,
-        index: usize,
-        vectors: &[f64],
-        inverse_vectors: &[f64],
-        values: &[f64],
-    ) -> Result<()> {
-        self.enqueue(Pending::Eigen {
-            index,
-            vectors: vectors.to_vec(),
-            inverse_vectors: inverse_vectors.to_vec(),
-            values: values.to_vec(),
-        });
-        Ok(())
-    }
-
-    fn update_transition_matrices(
-        &mut self,
-        eigen_index: usize,
-        matrix_indices: &[usize],
-        branch_lengths: &[f64],
-    ) -> Result<()> {
-        self.enqueue(Pending::Matrices {
-            eigen_index,
-            matrix_indices: matrix_indices.to_vec(),
-            branch_lengths: branch_lengths.to_vec(),
-        });
-        Ok(())
-    }
-
-    fn update_transition_derivatives(
-        &mut self,
-        eigen_index: usize,
-        matrix_indices: &[usize],
-        d1_indices: &[usize],
-        d2_indices: &[usize],
-        branch_lengths: &[f64],
-    ) -> Result<()> {
-        // Derivative matrices are not cached (three coupled outputs per
-        // branch); flush so prior eigen/rate updates are visible, then run.
-        let st = self.state.get_mut();
-        st.flush()?;
-        st.inner.update_transition_derivatives(
-            eigen_index,
-            matrix_indices,
-            d1_indices,
-            d2_indices,
-            branch_lengths,
-        )
+        self.flushed(|inner| inner.get_partials(buffer))
     }
 
     fn integrate_edge_derivatives(
@@ -625,57 +509,22 @@ impl BeagleInstance for QueuedInstance {
         frequencies: BufferId,
         scaling: ScalingMode,
     ) -> Result<(f64, f64, f64)> {
-        let st = self.state.get_mut();
-        st.flush()?;
-        st.inner.integrate_edge_derivatives(
-            parent,
-            child,
-            matrix,
-            d1_matrix,
-            d2_matrix,
-            category_weights,
-            frequencies,
-            scaling,
-        )
-    }
-
-    fn set_transition_matrix(&mut self, index: usize, matrix: &[f64]) -> Result<()> {
-        self.enqueue(Pending::SetMatrix {
-            index,
-            matrix: matrix.to_vec(),
-        });
-        Ok(())
+        self.flushed_mut(|inner| {
+            inner.integrate_edge_derivatives(
+                parent,
+                child,
+                matrix,
+                d1_matrix,
+                d2_matrix,
+                category_weights,
+                frequencies,
+                scaling,
+            )
+        })
     }
 
     fn get_transition_matrix(&self, index: usize) -> Result<Vec<f64>> {
-        let mut st = self.state.lock();
-        st.flush()?;
-        st.inner.get_transition_matrix(index)
-    }
-
-    fn update_partials(&mut self, operations: &[Operation]) -> Result<()> {
-        let st = self.state.get_mut();
-        st.stats.ops_enqueued += operations.len() as u64;
-        st.pending
-            .push(Pending::UpdatePartials(operations.to_vec()));
-        Ok(())
-    }
-
-    fn reset_scale_factors(&mut self, cumulative: usize) -> Result<()> {
-        self.enqueue(Pending::ResetScale(cumulative));
-        Ok(())
-    }
-
-    fn accumulate_scale_factors(
-        &mut self,
-        scale_indices: &[usize],
-        cumulative: usize,
-    ) -> Result<()> {
-        self.enqueue(Pending::AccumulateScale {
-            scale_indices: scale_indices.to_vec(),
-            cumulative,
-        });
-        Ok(())
+        self.flushed(|inner| inner.get_transition_matrix(index))
     }
 
     fn integrate_root(
@@ -685,10 +534,7 @@ impl BeagleInstance for QueuedInstance {
         frequencies: BufferId,
         scaling: ScalingMode,
     ) -> Result<f64> {
-        let st = self.state.get_mut();
-        st.flush()?;
-        st.inner
-            .integrate_root(root, category_weights, frequencies, scaling)
+        self.flushed_mut(|inner| inner.integrate_root(root, category_weights, frequencies, scaling))
     }
 
     fn integrate_edge(
@@ -700,42 +546,36 @@ impl BeagleInstance for QueuedInstance {
         frequencies: BufferId,
         scaling: ScalingMode,
     ) -> Result<f64> {
-        let st = self.state.get_mut();
-        st.flush()?;
-        st.inner.integrate_edge(
-            parent,
-            child,
-            matrix,
-            category_weights,
-            frequencies,
-            scaling,
-        )
+        self.flushed_mut(|inner| {
+            inner.integrate_edge(
+                parent,
+                child,
+                matrix,
+                category_weights,
+                frequencies,
+                scaling,
+            )
+        })
     }
 
     fn get_site_log_likelihoods(&self) -> Result<Vec<f64>> {
-        let mut st = self.state.lock();
-        st.flush()?;
-        st.inner.get_site_log_likelihoods()
+        self.flushed(|inner| inner.get_site_log_likelihoods())
     }
 
     fn wait_for_computation(&mut self) -> Result<()> {
-        let st = self.state.get_mut();
-        st.flush()?;
-        st.inner.wait_for_computation()
+        self.flushed_mut(|inner| inner.wait_for_computation())
     }
 
     fn simulated_time(&self) -> Option<std::time::Duration> {
-        let mut st = self.state.lock();
         // The simulated clock only advances when work reaches the device.
-        st.flush().ok()?;
-        st.inner.simulated_time()
+        self.flushed(|inner| Ok(inner.simulated_time())).ok()?
     }
 
     fn reset_simulated_time(&mut self) {
-        let st = self.state.get_mut();
-        if st.flush().is_ok() {
-            st.inner.reset_simulated_time();
-        }
+        let _ = self.flushed_mut(|inner| {
+            inner.reset_simulated_time();
+            Ok(())
+        });
     }
 
     fn peek_simulated_time(&self) -> Option<std::time::Duration> {
@@ -760,25 +600,10 @@ impl BeagleInstance for QueuedInstance {
         Some(stats)
     }
 
-    fn take_journal(&mut self) -> Vec<obs::Event> {
-        let st = self.state.get_mut();
-        obs::merge_journals(st.inner.take_journal(), st.recorder.take_journal())
-    }
-
-    fn set_deadline(&mut self, deadline: Option<crate::deadline::Deadline>) {
-        self.state.get_mut().inner.set_deadline(deadline);
-    }
-
     fn checkpoint(&mut self) -> Option<crate::checkpoint::Checkpoint> {
         // Pending work must reach the journaling layer below before the
         // snapshot, or queued-but-unflushed operations would be lost.
-        let st = self.state.get_mut();
-        st.flush().ok()?;
-        st.inner.checkpoint()
-    }
-
-    fn set_incremental(&mut self, enabled: bool) {
-        self.state.get_mut().inner.set_incremental(enabled);
+        self.flushed_mut(|inner| Ok(inner.checkpoint())).ok()?
     }
 
     fn memo_stats(&self) -> Option<crate::memo::MemoStats> {

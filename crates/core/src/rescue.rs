@@ -19,9 +19,10 @@
 //! [`crate::InstanceConfig::for_tree`] satisfy this.
 
 use crate::api::{BeagleInstance, BufferId, InstanceConfig, InstanceDetails, ScalingMode};
+use crate::call::Call;
 use crate::error::{BeagleError, Result};
 use crate::journal::StateJournal;
-use crate::obs::{self, EventKind, Recorder};
+use crate::obs::{EventKind, Recorder};
 use crate::ops::Operation;
 
 /// A [`BeagleInstance`] wrapper that retries failed integrations with
@@ -92,6 +93,44 @@ impl RescueInstance {
             Err(_) => false,
         }
     }
+
+    /// Run a root or edge integration (`kind`, at `site`) with `scaling`;
+    /// when an unscaled attempt fails numerically, rescale the recorded
+    /// traversal and integrate again with the reserved cumulative buffer.
+    fn integrate_rescued(
+        &mut self,
+        kind: &str,
+        site: impl Fn() -> String,
+        scaling: ScalingMode,
+        mut integrate: impl FnMut(&mut dyn BeagleInstance, ScalingMode) -> Result<f64>,
+    ) -> Result<f64> {
+        let first = integrate(self.inner.as_mut(), scaling);
+        if scaling != ScalingMode::None || !Self::numerically_bad(&first) {
+            return first;
+        }
+        let Some(reserved) = self.rescue_cumulative() else {
+            return first;
+        };
+        self.recorder.event(EventKind::RescueTriggered, || {
+            format!(
+                "{} failed numerically; rescaling {} ops",
+                site(),
+                self.journal.operations().len()
+            )
+        });
+        let cumulative = self.rescale_traversal(reserved)?;
+        let rescued = integrate(self.inner.as_mut(), ScalingMode::cumulative(cumulative))?;
+        if !rescued.is_finite() {
+            return Err(BeagleError::NumericalFailure(format!(
+                "{kind} log-likelihood {rescued} even after automatic rescaling"
+            )));
+        }
+        self.rescues += 1;
+        self.recorder.event(EventKind::RescueSucceeded, || {
+            format!("{kind} log-likelihood {rescued} after rescaling")
+        });
+        Ok(rescued)
+    }
 }
 
 impl BeagleInstance for RescueInstance {
@@ -103,133 +142,32 @@ impl BeagleInstance for RescueInstance {
         self.inner.config()
     }
 
-    fn set_tip_states(&mut self, tip: usize, states: &[u32]) -> Result<()> {
-        self.inner.set_tip_states(tip, states)
+    fn inner(&self) -> Option<&dyn BeagleInstance> {
+        Some(self.inner.as_ref())
     }
 
-    fn set_tip_partials(&mut self, tip: usize, partials: &[f64]) -> Result<()> {
-        self.inner.set_tip_partials(tip, partials)
+    fn inner_mut(&mut self) -> Option<&mut dyn BeagleInstance> {
+        Some(self.inner.as_mut())
     }
 
-    fn set_partials(&mut self, buffer: usize, partials: &[f64]) -> Result<()> {
-        self.inner.set_partials(buffer, partials)
+    fn recorder(&self) -> Option<&Recorder> {
+        Some(&self.recorder)
     }
 
-    fn get_partials(&self, buffer: usize) -> Result<Vec<f64>> {
-        self.inner.get_partials(buffer)
+    fn recorder_mut(&mut self) -> Option<&mut Recorder> {
+        Some(&mut self.recorder)
     }
 
-    fn set_pattern_weights(&mut self, weights: &[f64]) -> Result<()> {
-        self.inner.set_pattern_weights(weights)
-    }
-
-    fn set_state_frequencies(&mut self, index: usize, frequencies: &[f64]) -> Result<()> {
-        self.inner.set_state_frequencies(index, frequencies)
-    }
-
-    fn set_category_rates(&mut self, rates: &[f64]) -> Result<()> {
-        self.inner.set_category_rates(rates)
-    }
-
-    fn set_category_weights(&mut self, index: usize, weights: &[f64]) -> Result<()> {
-        self.inner.set_category_weights(index, weights)
-    }
-
-    fn set_eigen_decomposition(
-        &mut self,
-        index: usize,
-        vectors: &[f64],
-        inverse_vectors: &[f64],
-        values: &[f64],
-    ) -> Result<()> {
-        self.inner
-            .set_eigen_decomposition(index, vectors, inverse_vectors, values)
-    }
-
-    fn update_transition_matrices(
-        &mut self,
-        eigen_index: usize,
-        matrix_indices: &[usize],
-        branch_lengths: &[f64],
-    ) -> Result<()> {
-        self.inner
-            .update_transition_matrices(eigen_index, matrix_indices, branch_lengths)
-    }
-
-    fn update_transition_derivatives(
-        &mut self,
-        eigen_index: usize,
-        matrix_indices: &[usize],
-        d1_indices: &[usize],
-        d2_indices: &[usize],
-        branch_lengths: &[f64],
-    ) -> Result<()> {
-        self.inner.update_transition_derivatives(
-            eigen_index,
-            matrix_indices,
-            d1_indices,
-            d2_indices,
-            branch_lengths,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn integrate_edge_derivatives(
-        &mut self,
-        parent: BufferId,
-        child: BufferId,
-        matrix: BufferId,
-        d1_matrix: BufferId,
-        d2_matrix: BufferId,
-        category_weights: BufferId,
-        frequencies: BufferId,
-        scaling: ScalingMode,
-    ) -> Result<(f64, f64, f64)> {
-        self.inner.integrate_edge_derivatives(
-            parent,
-            child,
-            matrix,
-            d1_matrix,
-            d2_matrix,
-            category_weights,
-            frequencies,
-            scaling,
-        )
-    }
-
-    fn set_transition_matrix(&mut self, index: usize, matrix: &[f64]) -> Result<()> {
-        self.inner.set_transition_matrix(index, matrix)
-    }
-
-    fn get_transition_matrix(&self, index: usize) -> Result<Vec<f64>> {
-        self.inner.get_transition_matrix(index)
-    }
-
-    fn update_partials(&mut self, operations: &[Operation]) -> Result<()> {
-        self.journal.record_operations(operations);
-        self.inner.update_partials(operations)
-    }
-
-    fn update_partials_by_levels(&mut self, levels: &[Vec<Operation>]) -> Result<()> {
-        // Level-batched submissions (from an outer operation queue) carry
-        // the same traversal; journal it so rescue can replay it.
-        for level in levels {
-            self.journal.record_operations(level);
+    fn call(&mut self, call: Call<'_>) -> Result<()> {
+        // Journal the traversal — plain or level-batched by an outer
+        // operation queue — so rescue can replay it.
+        if matches!(
+            call,
+            Call::UpdatePartials(_) | Call::UpdatePartialsByLevels(_)
+        ) {
+            self.journal.record(&call);
         }
-        self.inner.update_partials_by_levels(levels)
-    }
-
-    fn reset_scale_factors(&mut self, cumulative: usize) -> Result<()> {
-        self.inner.reset_scale_factors(cumulative)
-    }
-
-    fn accumulate_scale_factors(
-        &mut self,
-        scale_indices: &[usize],
-        cumulative: usize,
-    ) -> Result<()> {
-        self.inner
-            .accumulate_scale_factors(scale_indices, cumulative)
+        call.apply(self.inner.as_mut())
     }
 
     fn integrate_root(
@@ -239,38 +177,12 @@ impl BeagleInstance for RescueInstance {
         frequencies: BufferId,
         scaling: ScalingMode,
     ) -> Result<f64> {
-        let first = self
-            .inner
-            .integrate_root(root, category_weights, frequencies, scaling);
-        if scaling != ScalingMode::None || !Self::numerically_bad(&first) {
-            return first;
-        }
-        let Some(reserved) = self.rescue_cumulative() else {
-            return first;
-        };
-        self.recorder.event(EventKind::RescueTriggered, || {
-            format!(
-                "root integration at buffer {root} failed numerically; rescaling {} ops",
-                self.journal.operations().len()
-            )
-        });
-        let cumulative = self.rescale_traversal(reserved)?;
-        let rescued = self.inner.integrate_root(
-            root,
-            category_weights,
-            frequencies,
-            ScalingMode::cumulative(cumulative),
-        )?;
-        if !rescued.is_finite() {
-            return Err(BeagleError::NumericalFailure(format!(
-                "root log-likelihood {rescued} even after automatic rescaling"
-            )));
-        }
-        self.rescues += 1;
-        self.recorder.event(EventKind::RescueSucceeded, || {
-            format!("root log-likelihood {rescued} after rescaling")
-        });
-        Ok(rescued)
+        self.integrate_rescued(
+            "root",
+            || format!("root integration at buffer {root}"),
+            scaling,
+            |inner, scaling| inner.integrate_root(root, category_weights, frequencies, scaling),
+        )
     }
 
     fn integrate_edge(
@@ -282,96 +194,20 @@ impl BeagleInstance for RescueInstance {
         frequencies: BufferId,
         scaling: ScalingMode,
     ) -> Result<f64> {
-        let first = self.inner.integrate_edge(
-            parent,
-            child,
-            matrix,
-            category_weights,
-            frequencies,
+        self.integrate_rescued(
+            "edge",
+            || format!("edge integration {parent}->{child}"),
             scaling,
-        );
-        if scaling != ScalingMode::None || !Self::numerically_bad(&first) {
-            return first;
-        }
-        let Some(reserved) = self.rescue_cumulative() else {
-            return first;
-        };
-        self.recorder.event(EventKind::RescueTriggered, || {
-            format!(
-                "edge integration {parent}->{child} failed numerically; rescaling {} ops",
-                self.journal.operations().len()
-            )
-        });
-        let cumulative = self.rescale_traversal(reserved)?;
-        let rescued = self.inner.integrate_edge(
-            parent,
-            child,
-            matrix,
-            category_weights,
-            frequencies,
-            ScalingMode::cumulative(cumulative),
-        )?;
-        if !rescued.is_finite() {
-            return Err(BeagleError::NumericalFailure(format!(
-                "edge log-likelihood {rescued} even after automatic rescaling"
-            )));
-        }
-        self.rescues += 1;
-        self.recorder.event(EventKind::RescueSucceeded, || {
-            format!("edge log-likelihood {rescued} after rescaling")
-        });
-        Ok(rescued)
-    }
-
-    fn get_site_log_likelihoods(&self) -> Result<Vec<f64>> {
-        self.inner.get_site_log_likelihoods()
-    }
-
-    fn wait_for_computation(&mut self) -> Result<()> {
-        self.inner.wait_for_computation()
-    }
-
-    fn simulated_time(&self) -> Option<std::time::Duration> {
-        self.inner.simulated_time()
-    }
-
-    fn reset_simulated_time(&mut self) {
-        self.inner.reset_simulated_time()
-    }
-
-    fn peek_simulated_time(&self) -> Option<std::time::Duration> {
-        self.inner.peek_simulated_time()
-    }
-
-    fn queue_stats(&self) -> Option<crate::queue::QueueStats> {
-        self.inner.queue_stats()
-    }
-
-    fn statistics(&self) -> Option<obs::InstanceStats> {
-        let mut stats = self.inner.statistics()?;
-        if let Some(own) = self.recorder.stats() {
-            stats.merge(&own);
-        }
-        Some(stats)
-    }
-
-    fn take_journal(&mut self) -> Vec<obs::Event> {
-        obs::merge_journals(self.inner.take_journal(), self.recorder.take_journal())
-    }
-
-    fn set_deadline(&mut self, deadline: Option<crate::deadline::Deadline>) {
-        self.inner.set_deadline(deadline);
-    }
-
-    fn checkpoint(&mut self) -> Option<crate::checkpoint::Checkpoint> {
-        self.inner.checkpoint()
-    }
-
-    fn set_incremental(&mut self, enabled: bool) {
-        self.inner.set_incremental(enabled);
-    }
-
-    fn memo_stats(&self) -> Option<crate::memo::MemoStats> {
-        self.inner.memo_stats()
+            |inner, scaling| {
+                inner.integrate_edge(
+                    parent,
+                    child,
+                    matrix,
+                    category_weights,
+                    frequencies,
+                    scaling,
+                )
+            },
+        )
     }
 }

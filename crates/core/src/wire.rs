@@ -844,8 +844,9 @@ pub fn write_frame(
     write_bytes(writer, &encode_frame(session_id, frame))
 }
 
-/// Write a Submit frame for a borrowed session (see [`encode_submit`]) and
-/// flush it.
+/// Write a Submit frame for a borrowed session and flush it: the bytes
+/// [`write_frame`] writes for `Frame::Submit { lane, session }`, encoded
+/// without cloning the session into a frame first.
 pub fn write_submit(
     writer: &mut impl Write,
     session_id: u64,

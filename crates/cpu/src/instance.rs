@@ -8,7 +8,7 @@
 //! (scalar / portable / AVX2).
 //!
 //! The traversal hot path is allocation-free: work items are plain-data
-//! [`ChunkTask`]/[`RootTask`] structs kept in a reusable [`Scratch`] arena,
+//! `ChunkTask`/`RootTask` structs kept in a reusable `Scratch` arena,
 //! the pattern partition is computed once at instance creation, and batches
 //! go to the pool through [`ThreadPool::run_tasks`] (which allocates
 //! nothing per dispatch). Buffers use the SIMD layout of

@@ -158,7 +158,7 @@ pub fn run_mc3(
     }
 }
 
-/// Run MC³ over a worker pool: `engines` back a [`Pool`] of
+/// Run MC³ over a worker pool: `engines` back a [`beagle_core::Pool`] of
 /// `engines.len()` workers, and every chain advance is a pool job — so 32
 /// chains can share 4 engines instead of requiring one engine each (the
 /// engine fleet, not the chain count, is what costs device memory).

@@ -86,6 +86,9 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 # instance, then drain. Exercises the full WIRE-v1 stack end to end.
 cargo run -q --release -p beagle-server --bin beagle-serve -- --self-test 3
 cargo clippy --workspace -- -D warnings
+# Documentation gate: every intra-doc link must resolve (and public docs
+# must not link private items), so moved or renamed link targets fail here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # Formatting gate for first-party crates only: the vendored stand-ins under
 # vendor/ keep their upstream-ish style and are deliberately excluded.
 cargo fmt --check -p beagle -p beagle-core -p beagle-cpu -p beagle-accel \

@@ -172,3 +172,146 @@ fn wait_for_computation_is_safe_everywhere() {
         }
     }
 }
+
+/// The trait provides every mutating method (building a `Call` for the
+/// `call` hook) and every read (forwarding to an inner instance), so a
+/// back-end that forgot an override would still compile and then report
+/// `Unsupported`. This stands in for the compile-time check: every raw
+/// back-end (no memo, queue or rescue layer) answers every `Call` variant
+/// and every `Result` read with something other than `Unsupported`. Every
+/// in-tree back-end has derivative kernels, so the derivative calls are
+/// held to the same standard.
+#[test]
+fn every_backend_answers_every_call_and_read() {
+    use beagle::core::ops::dependency_levels;
+    use beagle::core::{BeagleError, Call};
+
+    let p = small_problem();
+    let mut config = p.config();
+    let (d1, d2) = (config.matrix_buffer_count, config.matrix_buffer_count + 1);
+    config.matrix_buffer_count += 2;
+    let (s, n) = (config.state_count, config.pattern_count);
+    let cumulative = config.scale_buffer_count - 1;
+    let ops = p.operations(true);
+    let levels = dependency_levels(&ops);
+    let dests: Vec<usize> = ops.iter().map(|op| op.destination).collect();
+    let root = BufferId(p.tree.root());
+    let edge = ops[0];
+    let (parent, child, matrix) = (edge.destination, edge.child1, edge.child1_matrix);
+    let (matrices, lengths): (Vec<usize>, Vec<f64>) =
+        p.tree.branch_assignments().into_iter().unzip();
+    let t = lengths[matrices.iter().position(|&m| m == matrix).unwrap()];
+    let eig = p.model.eigen();
+    let tip_partials: Vec<f64> = p
+        .patterns
+        .tip_states(1)
+        .iter()
+        .flat_map(|&st| (0..s).map(move |j| if j as u32 == st { 1.0 } else { 0.0 }))
+        .collect();
+    assert_eq!(tip_partials.len(), n * s);
+
+    let manager = full_manager();
+    for name in manager.implementation_names() {
+        let mut inst = InstanceSpec::with_config(config)
+            .named(name.clone())
+            .without_rescue()
+            .incremental(false)
+            .instantiate(&manager)
+            .unwrap();
+        let supported = |what: &str, r: &Result<(), BeagleError>| {
+            assert!(
+                !matches!(r, Err(BeagleError::Unsupported(_))),
+                "{name}: {what} reported {r:?}"
+            );
+        };
+        let calls = [
+            Call::SetTipStates(0, p.patterns.tip_states(0).into()),
+            Call::SetTipPartials(1, tip_partials.as_slice().into()),
+            Call::SetPartials(parent, vec![0.25; config.partials_len()].into()),
+            Call::SetPatternWeights(p.patterns.weights().into()),
+            Call::SetStateFrequencies(0, p.model.frequencies().into()),
+            Call::SetCategoryRates(p.rates.rates.as_slice().into()),
+            Call::SetCategoryWeights(0, p.rates.weights.as_slice().into()),
+            Call::SetEigenDecomposition(
+                0,
+                eig.vectors.as_slice().into(),
+                eig.inverse_vectors.as_slice().into(),
+                eig.values.as_slice().into(),
+            ),
+            Call::UpdateTransitionMatrices(
+                0,
+                matrices.as_slice().into(),
+                lengths.as_slice().into(),
+            ),
+            Call::UpdateTransitionDerivatives(
+                0,
+                vec![matrix].into(),
+                vec![d1].into(),
+                vec![d2].into(),
+                vec![t].into(),
+            ),
+        ];
+        for call in &calls {
+            supported(&format!("{call:?}"), &call.apply(inst.as_mut()));
+        }
+        for tip in 2..p.tree.taxon_count() {
+            inst.set_tip_states(tip, &p.patterns.tip_states(tip))
+                .unwrap();
+        }
+        let m = inst.get_transition_matrix(matrix);
+        supported("get_transition_matrix", &m.clone().map(drop));
+        let calls = [
+            Call::SetTransitionMatrix(matrix, m.unwrap().into()),
+            Call::UpdatePartials(ops.as_slice().into()),
+            Call::UpdatePartialsByLevels(levels.as_slice().into()),
+            Call::ResetScaleFactors(cumulative),
+            Call::AccumulateScaleFactors(dests.as_slice().into(), cumulative),
+        ];
+        for call in &calls {
+            supported(&format!("{call:?}"), &call.apply(inst.as_mut()));
+        }
+        let scaling = ScalingMode::cumulative(cumulative);
+        let (w, f) = (BufferId(0), BufferId(0));
+        let reads = [
+            ("get_partials", inst.get_partials(root.0).map(drop)),
+            (
+                "integrate_root",
+                inst.integrate_root(root, w, f, scaling).map(drop),
+            ),
+            (
+                "integrate_edge",
+                inst.integrate_edge(
+                    BufferId(parent),
+                    BufferId(child),
+                    BufferId(matrix),
+                    w,
+                    f,
+                    scaling,
+                )
+                .map(drop),
+            ),
+            (
+                "integrate_edge_derivatives",
+                inst.integrate_edge_derivatives(
+                    BufferId(parent),
+                    BufferId(child),
+                    BufferId(matrix),
+                    BufferId(d1),
+                    BufferId(d2),
+                    w,
+                    f,
+                    scaling,
+                )
+                .map(drop),
+            ),
+            (
+                "get_site_log_likelihoods",
+                inst.get_site_log_likelihoods().map(drop),
+            ),
+            ("wait_for_computation", inst.wait_for_computation()),
+        ];
+        for (what, r) in &reads {
+            supported(what, r);
+        }
+    }
+}

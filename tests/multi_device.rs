@@ -150,3 +150,27 @@ fn details_refresh_after_rebalance() {
     let lnl = p.evaluate(&mut multi, false);
     assert!((lnl - p.oracle()).abs() < 1e-7);
 }
+
+/// A partitioned instance over queued (`COMPUTATION_ASYNCH`) children must
+/// drain every child's queue on `wait_for_computation` and report their
+/// merged queue counters: deferred child work is invisible otherwise.
+#[test]
+fn partitioned_waits_for_and_reports_queued_children() {
+    let p = problem();
+    let manager = full_manager();
+    let devices = [(Flags::COMPUTATION_ASYNCH, Flags::NONE); 2];
+    let mut multi =
+        PartitionedInstance::create(&manager, &p.config(), &devices, &[1.0, 1.0]).unwrap();
+    p.load(&mut multi);
+    multi.update_partials(&p.operations(false)).unwrap();
+    multi.wait_for_computation().unwrap();
+    for i in 0..multi.device_count() {
+        let child = multi.part(i).queue_stats().expect("queued child");
+        assert!(child.flushes >= 1, "child {i} still holds its queue");
+    }
+    let merged = multi
+        .queue_stats()
+        .expect("merged stats of the queued children");
+    assert!(merged.flushes >= 2, "{merged:?}");
+    assert_eq!(merged.ops_enqueued, 2 * p.operations(false).len() as u64);
+}
